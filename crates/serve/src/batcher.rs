@@ -1,17 +1,30 @@
-//! Dynamic batching: coalesces compatible requests into Eq. (14) batches.
+//! Batch formation: every batch key lingers on its own clock.
+//!
+//! Requests stay in the admission structure — the FIFO
+//! [`BoundedQueue`] or the shape-classed
+//! [`ClassScheduler`](crate::scheduler::ClassScheduler) — until their
+//! batch is formed. A key is *due* once it has its batch cap queued,
+//! once its oldest queued request has waited its linger budget (counted
+//! from admission), or once admission closes. The batcher cuts the due
+//! key whose request is oldest (FIFO) or whose deadline is earliest
+//! (classed EDF) from the queue, and otherwise sleeps until the next
+//! push or the earliest key deadline. No key waits out another key's
+//! linger, and a due key takes every queued peer up to its cap.
 
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::metrics::Metrics;
-use crate::queue::{BoundedQueue, PopResult};
-use crate::request::{BatchKey, PendingRequest};
+use crate::queue::BoundedQueue;
+use crate::request::{BatchKey, PendingRequest, SloClass};
 use std::time::{Duration, Instant};
 
-/// How long one admission-queue poll blocks before the batcher rechecks
-/// for shutdown.
+/// How long one formation call waits with nothing due before it
+/// returns [`FormOutcome::Idle`], letting the batcher recheck for
+/// shutdown and run its periodic work.
 pub(crate) const POLL_TICK: Duration = Duration::from_millis(20);
 
-/// One request inside a formed batch, stamped when the batcher took it.
+/// One request inside a formed batch, stamped when the batcher first
+/// saw it queued.
 pub(crate) struct BatchEntry {
     pub(crate) request: PendingRequest,
     pub(crate) picked_at: Instant,
@@ -28,104 +41,221 @@ pub(crate) struct Batch {
 pub(crate) enum FormOutcome {
     /// A batch is ready for dispatch.
     Formed(Batch),
-    /// The queue stayed empty for a poll tick; caller decides what next.
+    /// Nothing came due within a poll tick (or the due key held only
+    /// cancelled or expired requests); caller decides what next.
     Idle,
     /// The queue is closed and fully drained; the batcher should exit.
     Drained,
 }
 
-/// Pulls one seed request off the queue, then lingers — up to
-/// `config.max_linger` — sweeping requests with the same [`BatchKey`]
-/// into the batch until it is full. Cancelled and deadline-expired
-/// requests are completed (with their terminal error) as they are
-/// encountered and never reach a replica.
-pub(crate) fn form_batch(
-    queue: &BoundedQueue<PendingRequest>,
+/// Per-(key, class) formation budget: the batch cap and how long a
+/// request may wait for batch-mates, counted from its admission.
+pub(crate) type Policy<'a> = &'a dyn Fn(BatchKey, SloClass) -> (usize, Duration);
+
+/// The admission structure batches are cut from.
+pub(crate) trait Admission {
+    /// Whether due keys are picked by earliest effective deadline (EDF)
+    /// rather than by oldest admission.
+    const EDF: bool;
+    fn is_closed(&self) -> bool;
+    /// Monotonic push counter; see [`BoundedQueue::push_seq`].
+    fn push_seq(&self) -> u64;
+    /// See [`BoundedQueue::wait_for_push`].
+    fn wait_for_push(&self, seen: u64, deadline: Instant) -> bool;
+    /// Visits every queued request under the structure's lock.
+    fn for_each_queued(&self, visit: &mut dyn FnMut(&mut PendingRequest));
+    /// Removes up to `max` queued requests of `key`, in the structure's
+    /// own order.
+    fn take_key(&self, key: BatchKey, max: usize) -> Vec<PendingRequest>;
+}
+
+impl Admission for BoundedQueue<PendingRequest> {
+    const EDF: bool = false;
+
+    fn is_closed(&self) -> bool {
+        BoundedQueue::is_closed(self)
+    }
+
+    fn push_seq(&self) -> u64 {
+        BoundedQueue::push_seq(self)
+    }
+
+    fn wait_for_push(&self, seen: u64, deadline: Instant) -> bool {
+        BoundedQueue::wait_for_push(self, seen, deadline)
+    }
+
+    fn for_each_queued(&self, visit: &mut dyn FnMut(&mut PendingRequest)) {
+        self.for_each_mut(visit);
+    }
+
+    fn take_key(&self, key: BatchKey, max: usize) -> Vec<PendingRequest> {
+        self.take_matching(max, |r| r.batch_key() == key)
+    }
+}
+
+/// Forms the next batch: surveys the queue, cuts the most urgent due
+/// key, and otherwise sleeps until the next push or the earliest key
+/// deadline — returning [`FormOutcome::Idle`] after a [`POLL_TICK`]
+/// with nothing due. `policy` gives each (key, class) its cap and
+/// linger budget, each clamped to `config`.
+pub(crate) fn form_batch<A: Admission>(
+    admission: &A,
+    config: &ServeConfig,
+    metrics: &Metrics,
+    policy: Policy<'_>,
+) -> FormOutcome {
+    let idle_at = Instant::now() + POLL_TICK;
+    loop {
+        // Snapshot the push sequence *before* surveying: a push that
+        // races with the survey advances it and the wait below returns
+        // immediately instead of sleeping through the arrival.
+        let seen = admission.push_seq();
+        let now = Instant::now();
+        match next_due(admission, config, policy, now) {
+            Next::Form { key, cap } => return cut_batch(admission, key, cap, config, metrics),
+            Next::Drained => return FormOutcome::Drained,
+            Next::Wait(due) => {
+                if now >= idle_at {
+                    return FormOutcome::Idle;
+                }
+                let until = due.map_or(idle_at, |due| due.min(idle_at));
+                admission.wait_for_push(seen, until);
+            }
+        }
+    }
+}
+
+/// What one survey of the admission structure decided.
+#[derive(Debug, PartialEq)]
+enum Next {
+    /// Cut up to `cap` requests of `key`.
+    Form { key: BatchKey, cap: usize },
+    /// Nothing is due; the earliest key deadline when anything is queued.
+    Wait(Option<Instant>),
+    /// Admission is closed and empty.
+    Drained,
+}
+
+/// One batch key's queued requests, as a survey found them.
+struct KeyState {
+    key: BatchKey,
+    queued: usize,
+    /// Admission time of the key's oldest queued request, per class.
+    oldest: [Option<Instant>; SloClass::ALL.len()],
+    /// Earliest effective deadline among the key's queued requests.
+    urgent: Instant,
+}
+
+/// Surveys every queued request — stamping the ones the batcher sees
+/// for the first time — and picks the due key to form: the one whose
+/// request is oldest, or by EDF when `A::EDF`.
+fn next_due<A: Admission>(
+    admission: &A,
+    config: &ServeConfig,
+    policy: Policy<'_>,
+    now: Instant,
+) -> Next {
+    let closed = admission.is_closed();
+    let mut keys: Vec<KeyState> = Vec::new();
+    admission.for_each_queued(&mut |request| {
+        request.seen_at.get_or_insert(now);
+        let key = request.batch_key();
+        let deadline = request.effective_deadline();
+        let state = match keys.iter().position(|k| k.key == key) {
+            Some(i) => &mut keys[i],
+            None => {
+                keys.push(KeyState {
+                    key,
+                    queued: 0,
+                    oldest: [None; SloClass::ALL.len()],
+                    urgent: deadline,
+                });
+                keys.last_mut().expect("just pushed")
+            }
+        };
+        state.queued += 1;
+        state.urgent = state.urgent.min(deadline);
+        let oldest = &mut state.oldest[request.class.index()];
+        *oldest = Some(oldest.map_or(request.submitted_at, |t| t.min(request.submitted_at)));
+    });
+    if keys.is_empty() {
+        return if closed {
+            Next::Drained
+        } else {
+            Next::Wait(None)
+        };
+    }
+
+    // The policy runs outside the admission lock: it may take the
+    // service's own locks.
+    let mut best: Option<(Instant, BatchKey, usize)> = None;
+    let mut earliest_due: Option<Instant> = None;
+    for state in &keys {
+        let mut cap = config.max_batch;
+        let mut due_at: Option<Instant> = None;
+        for class in SloClass::ALL {
+            let Some(oldest) = state.oldest[class.index()] else {
+                continue;
+            };
+            let (class_cap, linger) = policy(state.key, class);
+            cap = cap.min(class_cap.max(1));
+            let class_due = oldest + linger.min(config.max_linger);
+            due_at = Some(due_at.map_or(class_due, |d| d.min(class_due)));
+        }
+        let due_at = due_at.expect("a surveyed key has a queued class");
+        if closed || state.queued >= cap || now >= due_at {
+            let rank = if A::EDF {
+                state.urgent
+            } else {
+                state
+                    .oldest
+                    .iter()
+                    .flatten()
+                    .copied()
+                    .min()
+                    .expect("queued")
+            };
+            if best.is_none_or(|(best_rank, _, _)| rank < best_rank) {
+                best = Some((rank, state.key, cap));
+            }
+        } else {
+            earliest_due = Some(earliest_due.map_or(due_at, |d| d.min(due_at)));
+        }
+    }
+    match best {
+        Some((_, key, cap)) => Next::Form { key, cap },
+        None => Next::Wait(earliest_due),
+    }
+}
+
+/// Cuts `key`'s batch from the queue: up to `cap` live requests,
+/// taken in the structure's order. Cancelled and deadline-expired
+/// requests are completed with their terminal error as they are taken
+/// and never reach a replica; the cut tops the batch back up from the
+/// key's remaining peers.
+fn cut_batch<A: Admission>(
+    admission: &A,
+    key: BatchKey,
+    cap: usize,
     config: &ServeConfig,
     metrics: &Metrics,
 ) -> FormOutcome {
-    // Find a live seed request.
-    let seed = loop {
-        match queue.pop(POLL_TICK) {
-            PopResult::Item(req) => {
-                if let Some(req) = admit_or_complete(req, metrics) {
-                    break req;
-                }
-            }
-            PopResult::TimedOut => return FormOutcome::Idle,
-            PopResult::Closed => return FormOutcome::Drained,
-        }
-    };
-
-    let key = seed.batch_key();
-    let linger_deadline = Instant::now() + config.max_linger;
-    let mut entries = vec![BatchEntry {
-        request: seed,
-        picked_at: Instant::now(),
-    }];
-
-    while entries.len() < config.max_batch {
-        // Snapshot the push sequence *before* sweeping: a push that
-        // races with the sweep advances it and the wait below returns
-        // immediately instead of sleeping through the arrival.
-        let seen = queue.push_seq();
-        let wanted = config.max_batch - entries.len();
-        let picked_at = Instant::now();
-        for request in queue.take_matching(wanted, |r| r.batch_key() == key) {
+    let mut entries: Vec<BatchEntry> = Vec::with_capacity(cap);
+    loop {
+        let wanted = cap - entries.len();
+        let taken = admission.take_key(key, wanted);
+        let exhausted = taken.len() < wanted;
+        let now = Instant::now();
+        for request in taken {
             if let Some(request) = admit_or_complete(request, metrics) {
+                let picked_at = request.seen_at.unwrap_or(now);
                 entries.push(BatchEntry { request, picked_at });
             }
         }
-        if entries.len() >= config.max_batch {
-            break;
-        }
-        if Instant::now() >= linger_deadline {
-            break;
-        }
-        // Sleep on the queue's condvar, bounded by the linger deadline,
-        // instead of the old fixed-slice sleep-poll: a new arrival wakes
-        // the batcher in one signal (no up-to-a-slice added latency) and
-        // an idle linger burns no CPU. `false` means the deadline passed
-        // or the queue closed without growing — either way no new
-        // request can join this batch, so stop lingering.
-        if !queue.wait_for_push(seen, linger_deadline) {
+        if exhausted || entries.len() == cap {
             break;
         }
     }
-
-    finish_batch(key, entries, config, metrics)
-}
-
-/// Shared batch-formation tail (FIFO and shape-classed paths): the
-/// dispatch-time deadline re-filter, the observability spans, and the
-/// final outcome.
-///
-/// The re-filter matters: a deadline can expire *during* the linger
-/// (the seed is only checked at pickup). Such a request must not ride
-/// the formed batch to a replica — it would be executed for nothing and
-/// miscounted as an exec-side timeout when the replica finally notices.
-/// Dropping it here keeps the batcher/exec timeout split honest: the
-/// request never left the batcher in time.
-pub(crate) fn finish_batch(
-    key: BatchKey,
-    mut entries: Vec<BatchEntry>,
-    config: &ServeConfig,
-    metrics: &Metrics,
-) -> FormOutcome {
-    entries.retain(|entry| {
-        if entry.request.deadline_elapsed(Instant::now()) {
-            if entry
-                .request
-                .state
-                .complete(Err(ServeError::DeadlineExceeded))
-            {
-                metrics.record_timed_out_batcher(entry.request.request_type());
-            }
-            false
-        } else {
-            true
-        }
-    });
     if entries.is_empty() {
         return FormOutcome::Idle;
     }
@@ -142,9 +272,9 @@ pub(crate) fn finish_batch(
                 None,
             );
         }
-        // One formation span per batch: how long the batch lingered
-        // from its seed pick to dispatch readiness, stamped with the
-        // seed's request id.
+        // One formation span per batch: how long it lingered from its
+        // first request's first sighting to the cut, stamped with that
+        // request's id.
         journal.record(
             heterosvd::obs::Stage::BatchForm,
             Some(entries[0].request.id.0),
@@ -158,10 +288,7 @@ pub(crate) fn finish_batch(
 
 /// Filters one request at pickup: completes it with its terminal error
 /// if it was cancelled or its deadline elapsed, otherwise passes it on.
-pub(crate) fn admit_or_complete(
-    request: PendingRequest,
-    metrics: &Metrics,
-) -> Option<PendingRequest> {
+fn admit_or_complete(request: PendingRequest, metrics: &Metrics) -> Option<PendingRequest> {
     if request.state.is_cancelled() {
         if request.state.complete(Err(ServeError::Cancelled)) {
             metrics.record_cancelled(request.request_type());
@@ -180,7 +307,8 @@ pub(crate) fn admit_or_complete(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{Payload, RequestId, RequestState, RequestType, SloClass};
+    use crate::request::{Payload, RequestId, RequestState, RequestType};
+    use crate::{ServeError, SvdService};
     use factor_store::{FactorMeta, ModelId, PublishedFactors};
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
@@ -197,9 +325,18 @@ mod tests {
             state: RequestState::new(),
             submitted_at: Instant::now(),
             deadline: None,
+            seen_at: None,
             class: SloClass::Standard,
             poison: false,
         }
+    }
+
+    /// A request admitted `age` ago: one that has already waited that
+    /// long in the queue, without the test sleeping for it.
+    fn aged(id: u64, shape: (usize, usize), age: Duration) -> PendingRequest {
+        let mut request = pending(id, shape);
+        request.submitted_at -= age;
+        request
     }
 
     fn published(model: u64, version: u64) -> Arc<PublishedFactors> {
@@ -237,6 +374,7 @@ mod tests {
             state: RequestState::new(),
             submitted_at: Instant::now(),
             deadline: None,
+            seen_at: None,
             class: SloClass::Standard,
             poison: false,
         }
@@ -250,6 +388,33 @@ mod tests {
         }
     }
 
+    /// One FIFO formation call under `config`'s own cap and linger, as
+    /// the service's batcher makes it.
+    fn form(
+        queue: &BoundedQueue<PendingRequest>,
+        config: &ServeConfig,
+        metrics: &Metrics,
+    ) -> FormOutcome {
+        form_batch(queue, config, metrics, &|_, _| {
+            (config.max_batch, config.max_linger)
+        })
+    }
+
+    fn formed(out: FormOutcome) -> Batch {
+        match out {
+            FormOutcome::Formed(batch) => batch,
+            FormOutcome::Idle => panic!("expected a batch, got Idle"),
+            FormOutcome::Drained => panic!("expected a batch, got Drained"),
+        }
+    }
+
+    fn ids(batch: &Batch) -> Vec<u64> {
+        batch.entries.iter().map(|e| e.request.id.0).collect()
+    }
+
+    const SQUARE: BatchKey = BatchKey::Decompose { rows: 8, cols: 8 };
+    const TALL: BatchKey = BatchKey::Decompose { rows: 12, cols: 8 };
+
     #[test]
     fn coalesces_only_matching_shapes() {
         let queue = BoundedQueue::new(16);
@@ -257,14 +422,9 @@ mod tests {
         queue.try_push(pending(1, (8, 8))).unwrap();
         queue.try_push(pending(2, (12, 8))).unwrap();
         queue.try_push(pending(3, (8, 8))).unwrap();
-        let out = form_batch(&queue, &config(4, Duration::from_millis(1)), &metrics);
-        let batch = match out {
-            FormOutcome::Formed(b) => b,
-            _ => panic!("expected a batch"),
-        };
-        assert_eq!(batch.key, BatchKey::Decompose { rows: 8, cols: 8 });
-        let ids: Vec<u64> = batch.entries.iter().map(|e| e.request.id.0).collect();
-        assert_eq!(ids, vec![1, 3]);
+        let batch = formed(form(&queue, &config(4, Duration::from_millis(1)), &metrics));
+        assert_eq!(batch.key, SQUARE);
+        assert_eq!(ids(&batch), vec![1, 3]);
         assert_eq!(queue.len(), 1, "the (12,8) request stays queued");
     }
 
@@ -279,11 +439,7 @@ mod tests {
         queue.try_push(pending_apply(1, Arc::clone(&v1))).unwrap();
         queue.try_push(pending_apply(2, Arc::clone(&v2))).unwrap();
         queue.try_push(pending_apply(3, v1)).unwrap();
-        let out = form_batch(&queue, &config(4, Duration::from_millis(1)), &metrics);
-        let batch = match out {
-            FormOutcome::Formed(b) => b,
-            _ => panic!("expected a batch"),
-        };
+        let batch = formed(form(&queue, &config(4, Duration::from_millis(1)), &metrics));
         assert_eq!(
             batch.key,
             BatchKey::Apply {
@@ -291,8 +447,7 @@ mod tests {
                 version: 1
             }
         );
-        let ids: Vec<u64> = batch.entries.iter().map(|e| e.request.id.0).collect();
-        assert_eq!(ids, vec![1, 3]);
+        assert_eq!(ids(&batch), vec![1, 3]);
         assert_eq!(queue.len(), 1, "the v2 request stays queued");
         assert!(batch
             .entries
@@ -306,11 +461,7 @@ mod tests {
         let metrics = Metrics::new();
         queue.try_push(pending(1, (4, 4))).unwrap();
         queue.try_push(pending_apply(2, published(1, 1))).unwrap();
-        let out = form_batch(&queue, &config(4, Duration::from_millis(1)), &metrics);
-        let batch = match out {
-            FormOutcome::Formed(b) => b,
-            _ => panic!("expected a batch"),
-        };
+        let batch = formed(form(&queue, &config(4, Duration::from_millis(1)), &metrics));
         assert_eq!(batch.key, BatchKey::Decompose { rows: 4, cols: 4 });
         assert_eq!(batch.entries.len(), 1);
         assert_eq!(queue.len(), 1, "the apply request stays queued");
@@ -318,14 +469,16 @@ mod tests {
 
     #[test]
     fn full_batch_short_circuits_the_linger() {
+        // A key holding its cap is due at once: a 5 s linger would
+        // otherwise leave this call Idle after one poll tick.
         let queue = BoundedQueue::new(16);
         let metrics = Metrics::new();
         for id in 0..3 {
             queue.try_push(pending(id, (8, 8))).unwrap();
         }
         let start = Instant::now();
-        let out = form_batch(&queue, &config(3, Duration::from_secs(5)), &metrics);
-        assert!(matches!(out, FormOutcome::Formed(b) if b.entries.len() == 3));
+        let batch = formed(form(&queue, &config(3, Duration::from_secs(5)), &metrics));
+        assert_eq!(batch.entries.len(), 3);
         assert!(start.elapsed() < Duration::from_secs(1));
     }
 
@@ -335,18 +488,33 @@ mod tests {
         let metrics = Metrics::new();
         let doomed = pending(1, (8, 8));
         doomed.state.cancelled.store(true, Ordering::SeqCst);
-        let doomed_state = std::sync::Arc::clone(&doomed.state);
+        let doomed_state = Arc::clone(&doomed.state);
         queue.try_push(doomed).unwrap();
         queue.try_push(pending(2, (8, 8))).unwrap();
-        let out = form_batch(&queue, &config(2, Duration::from_millis(1)), &metrics);
-        let batch = match out {
-            FormOutcome::Formed(b) => b,
-            _ => panic!("expected a batch"),
-        };
-        assert_eq!(batch.entries.len(), 1);
-        assert_eq!(batch.entries[0].request.id, RequestId(2));
+        let batch = formed(form(&queue, &config(2, Duration::from_millis(1)), &metrics));
+        assert_eq!(ids(&batch), vec![2]);
         assert!(!doomed_state.complete(Err(ServeError::Cancelled)));
         assert_eq!(metrics.cancelled.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn cut_tops_the_batch_up_past_dead_requests() {
+        // Two of the first three peers are cancelled: the cut keeps
+        // taking from the key's queued peers until the batch holds its
+        // cap of live requests.
+        let queue = BoundedQueue::new(16);
+        let metrics = Metrics::new();
+        for id in 0..5 {
+            let request = aged(id, (8, 8), Duration::from_secs(2));
+            if id == 0 || id == 2 {
+                request.state.cancelled.store(true, Ordering::SeqCst);
+            }
+            queue.try_push(request).unwrap();
+        }
+        let batch = formed(form(&queue, &config(3, Duration::from_secs(1)), &metrics));
+        assert_eq!(ids(&batch), vec![1, 3, 4]);
+        assert!(queue.is_empty());
+        assert_eq!(metrics.cancelled.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -356,7 +524,7 @@ mod tests {
         let mut stale = pending(1, (8, 8));
         stale.deadline = Some(Instant::now() - Duration::from_millis(1));
         queue.try_push(stale).unwrap();
-        let out = form_batch(&queue, &config(2, Duration::from_millis(1)), &metrics);
+        let out = form(&queue, &config(2, Duration::from_millis(1)), &metrics);
         assert!(matches!(out, FormOutcome::Idle));
         assert_eq!(metrics.timed_out_batcher.load(Ordering::Relaxed), 1);
         let snapshot = metrics.snapshot(0, 0);
@@ -365,22 +533,22 @@ mod tests {
     }
 
     /// Regression test: a request whose deadline expires *during* the
-    /// linger used to ride the formed batch to a replica anyway (the
-    /// deadline is only checked at pickup), where it burned a batch slot
-    /// and was miscounted as an exec-side timeout. The dispatch-time
-    /// re-filter must drop it batcher-side — here it is the only entry,
-    /// so the whole batch dissolves into `Idle`.
+    /// linger used to ride the formed batch to a replica anyway, where
+    /// it burned a batch slot and was miscounted as an exec-side
+    /// timeout. The request now lingers in the queue, and the cut must
+    /// drop it batcher-side — here it is the only entry, so the whole
+    /// batch dissolves into `Idle`.
     #[test]
     fn deadline_expiring_during_linger_is_dropped_before_dispatch() {
         let queue = BoundedQueue::new(8);
         let metrics = Metrics::new();
-        let mut seed = pending(1, (8, 8));
-        seed.deadline = Some(Instant::now() + Duration::from_millis(50));
-        let state = Arc::clone(&seed.state);
-        queue.try_push(seed).unwrap();
-        // The seed is live at pickup, but the 300 ms linger outlives its
-        // 50 ms deadline and nothing else arrives to fill the batch.
-        let out = form_batch(&queue, &config(4, Duration::from_millis(300)), &metrics);
+        // Admitted 400 ms ago with a 50 ms deadline: its 300 ms linger
+        // outlived the deadline and nothing arrived to fill the batch.
+        let mut request = aged(1, (8, 8), Duration::from_millis(400));
+        request.deadline = Some(request.submitted_at + Duration::from_millis(50));
+        let state = Arc::clone(&request.state);
+        queue.try_push(request).unwrap();
+        let out = form(&queue, &config(4, Duration::from_millis(300)), &metrics);
         assert!(
             matches!(out, FormOutcome::Idle),
             "expired entry must not form a batch"
@@ -393,66 +561,204 @@ mod tests {
 
     #[test]
     fn linger_wakes_promptly_on_new_arrival() {
-        // With a 10 s linger, the old sleep-poll batcher would add up to
-        // one fixed slice of latency per arrival; the condvar wait must
-        // instead complete the batch almost immediately after the second
-        // request lands (generous bound for loaded CI machines).
-        let queue = std::sync::Arc::new(BoundedQueue::new(8));
+        // With a 10 s linger the key only comes due when the second
+        // request fills it; the batcher must wake on that push instead
+        // of sleeping out the linger (generous bound for loaded CI
+        // machines).
+        let queue = Arc::new(BoundedQueue::new(8));
         let metrics = Metrics::new();
         queue.try_push(pending(1, (8, 8))).unwrap();
-        let q2 = std::sync::Arc::clone(&queue);
+        let q2 = Arc::clone(&queue);
         let pusher = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
             q2.try_push(pending(2, (8, 8))).unwrap();
         });
         let start = Instant::now();
-        let out = form_batch(&queue, &config(2, Duration::from_secs(10)), &metrics);
+        let config = config(2, Duration::from_secs(10));
+        let batch = loop {
+            match form(&queue, &config, &metrics) {
+                FormOutcome::Formed(batch) => break batch,
+                FormOutcome::Idle => continue,
+                FormOutcome::Drained => panic!("queue never closed"),
+            }
+        };
         pusher.join().unwrap();
-        assert!(matches!(out, FormOutcome::Formed(b) if b.entries.len() == 2));
+        assert_eq!(batch.entries.len(), 2);
         assert!(
             start.elapsed() < Duration::from_secs(2),
-            "batch took {:?}; the linger slept through the arrival",
+            "batch took {:?}; the batcher slept through the arrival",
             start.elapsed()
         );
     }
 
     #[test]
     fn closed_queue_with_nonmatching_leftover_ends_the_linger() {
-        // A closed queue holding only a different shape can never grow
-        // this batch: the linger must end immediately instead of
-        // sleeping out its full budget (the pre-condvar code did the
-        // latter).
+        // A closed queue can never grow a batch: every key is due at
+        // once instead of sleeping out its 10 s linger, which would
+        // leave these calls Idle.
         let queue = BoundedQueue::new(8);
         let metrics = Metrics::new();
         queue.try_push(pending(1, (8, 8))).unwrap();
         queue.try_push(pending(2, (12, 8))).unwrap();
         queue.close();
+        let config = config(4, Duration::from_secs(10));
         let start = Instant::now();
-        let out = form_batch(&queue, &config(4, Duration::from_secs(10)), &metrics);
-        let batch = match out {
-            FormOutcome::Formed(b) => b,
-            _ => panic!("expected a batch"),
-        };
-        assert_eq!(batch.entries.len(), 1);
+        assert_eq!(ids(&formed(form(&queue, &config, &metrics))), vec![1]);
         assert!(
             start.elapsed() < Duration::from_secs(2),
             "lingered {:?} on a closed queue",
             start.elapsed()
         );
+        assert_eq!(ids(&formed(form(&queue, &config, &metrics))), vec![2]);
+        assert!(matches!(
+            form(&queue, &config, &metrics),
+            FormOutcome::Drained
+        ));
     }
 
     #[test]
     fn empty_queue_reports_idle_then_drained_after_close() {
         let queue: BoundedQueue<PendingRequest> = BoundedQueue::new(4);
         let metrics = Metrics::new();
-        assert!(matches!(
-            form_batch(&queue, &config(2, Duration::from_millis(1)), &metrics),
-            FormOutcome::Idle
-        ));
+        let config = config(2, Duration::from_millis(1));
+        assert!(matches!(form(&queue, &config, &metrics), FormOutcome::Idle));
         queue.close();
         assert!(matches!(
-            form_batch(&queue, &config(2, Duration::from_millis(1)), &metrics),
+            form(&queue, &config, &metrics),
             FormOutcome::Drained
         ));
+    }
+
+    #[test]
+    fn full_key_is_formed_before_an_older_lingering_key() {
+        // Key A's request is older but lingers under a 10 s budget; key
+        // B reaches `max_batch`. B is due and is formed at once — A does
+        // not hold it back, and A stays queued on its own clock.
+        let queue = BoundedQueue::new(16);
+        let metrics = Metrics::new();
+        queue.try_push(pending(1, (8, 8))).unwrap();
+        for id in 2..6 {
+            queue.try_push(pending(id, (12, 8))).unwrap();
+        }
+        let batch = formed(form(&queue, &config(4, Duration::from_secs(10)), &metrics));
+        assert_eq!(batch.key, TALL);
+        assert_eq!(ids(&batch), vec![2, 3, 4, 5]);
+        assert_eq!(queue.len(), 1, "key A keeps lingering");
+    }
+
+    #[test]
+    fn due_key_takes_every_queued_peer_in_one_batch() {
+        // Five requests of one key have waited out their 1 s linger,
+        // interleaved with a younger key that has not: one batch takes
+        // all five, and the cap still splits a longer backlog.
+        let queue = BoundedQueue::new(16);
+        let metrics = Metrics::new();
+        let old = Duration::from_secs(2);
+        for id in 0..5 {
+            queue.try_push(aged(id, (8, 8), old)).unwrap();
+            if id % 2 == 0 {
+                queue.try_push(pending(100 + id, (12, 8))).unwrap();
+            }
+        }
+        let batch = formed(form(&queue, &config(8, Duration::from_secs(1)), &metrics));
+        assert_eq!(batch.key, SQUARE);
+        assert_eq!(ids(&batch), vec![0, 1, 2, 3, 4]);
+        assert_eq!(queue.len(), 3, "the young key keeps lingering");
+
+        for id in 10..16 {
+            queue.try_push(aged(id, (8, 8), old)).unwrap();
+        }
+        let config = config(4, Duration::from_secs(1));
+        assert_eq!(
+            ids(&formed(form(&queue, &config, &metrics))),
+            vec![10, 11, 12, 13]
+        );
+        assert_eq!(ids(&formed(form(&queue, &config, &metrics))), vec![14, 15]);
+    }
+
+    #[test]
+    fn closing_admission_forms_every_remaining_key_at_once() {
+        let queue = BoundedQueue::new(16);
+        let metrics = Metrics::new();
+        queue.try_push(pending(1, (8, 8))).unwrap();
+        queue.try_push(pending(2, (12, 8))).unwrap();
+        queue.try_push(pending(3, (8, 8))).unwrap();
+        queue.try_push(pending_apply(4, published(1, 1))).unwrap();
+        let config = config(8, Duration::from_secs(10));
+        let policy = |_: BatchKey, _: SloClass| (config.max_batch, config.max_linger);
+        assert!(matches!(
+            next_due(&queue, &config, &policy, Instant::now()),
+            Next::Wait(Some(_))
+        ));
+        queue.close();
+        // Oldest request first, every key in one call each, no waiting.
+        assert_eq!(ids(&formed(form(&queue, &config, &metrics))), vec![1, 3]);
+        assert_eq!(ids(&formed(form(&queue, &config, &metrics))), vec![2]);
+        assert_eq!(ids(&formed(form(&queue, &config, &metrics))), vec![4]);
+        assert!(matches!(
+            form(&queue, &config, &metrics),
+            FormOutcome::Drained
+        ));
+    }
+
+    #[test]
+    fn lingering_requests_stay_queued_and_are_stamped_once() {
+        // Nothing is due: the survey leaves every request queued (so
+        // the queue-depth gauge counts it), reports the key's deadline,
+        // and stamps each request's first sighting — which a later
+        // survey does not move and the batch entry inherits.
+        let queue = BoundedQueue::new(16);
+        let metrics = Metrics::new();
+        for id in 0..3 {
+            queue.try_push(pending(id, (8, 8))).unwrap();
+        }
+        let config = config(8, Duration::from_secs(10));
+        let policy = |_: BatchKey, _: SloClass| (config.max_batch, config.max_linger);
+        let mut oldest = None;
+        queue.for_each_mut(|r| {
+            oldest.get_or_insert(r.submitted_at);
+        });
+        let first = Instant::now();
+        assert_eq!(
+            next_due(&queue, &config, &policy, first),
+            Next::Wait(Some(oldest.unwrap() + config.max_linger))
+        );
+        assert_eq!(queue.len(), 3);
+        let later = first + Duration::from_millis(5);
+        assert!(matches!(
+            next_due(&queue, &config, &policy, later),
+            Next::Wait(Some(_))
+        ));
+        queue.for_each_mut(|r| assert_eq!(r.seen_at, Some(first)));
+        queue.close();
+        let batch = formed(form(&queue, &config, &metrics));
+        assert!(batch.entries.iter().all(|e| e.picked_at == first));
+    }
+
+    #[test]
+    fn queue_depth_counts_lingering_requests() {
+        let service = SvdService::start(ServeConfig {
+            workers: 1,
+            max_batch: 8,
+            max_linger: Duration::from_secs(10),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let handles: Vec<_> = (0..3)
+            .map(|s| {
+                let a = Matrix::from_fn(8, 8, |r, c| {
+                    ((r * 3 + c + s) % 7) as f64 + if r == c { 4.0 } else { 0.0 }
+                });
+                service.try_submit(a).unwrap()
+            })
+            .collect();
+        assert_eq!(service.metrics().queue_depth, 3);
+        // Shutdown closes admission: the lingering key is formed at once
+        // and every request completes.
+        service.shutdown();
+        for handle in handles {
+            assert_eq!(handle.wait().unwrap().latency.batch_size, 3);
+        }
+        assert_eq!(service.metrics().queue_depth, 0);
     }
 }

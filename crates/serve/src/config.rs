@@ -19,8 +19,10 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Largest batch the dynamic batcher forms.
     pub max_batch: usize,
-    /// Longest the batcher lingers waiting to fill a batch once it holds
-    /// at least one request.
+    /// Longest a request waits for batch-mates, counted from its
+    /// admission: each batch key lingers on its own clock and is formed
+    /// once its oldest queued request has waited this long (or the key
+    /// has `max_batch` requests queued, or admission closes).
     pub max_linger: Duration,
     /// Engine parallelism (`P_eng`) of every replica.
     pub engine_parallelism: usize,

@@ -11,7 +11,7 @@
 //!  callers ──try_submit──▶ [bounded admission queue]   (backpressure)
 //!                                   │
 //!                             batcher thread           (coalesce same
-//!                                   │                   shape, linger)
+//!                                   │                   key, per-key linger)
 //!                           [dispatch queue]
 //!                             │    │    │
 //!                          replica pool (N threads)    (run_many; panic
@@ -22,17 +22,18 @@
 //! * **Backpressure** — [`SvdService::try_submit`] never blocks; a full
 //!   queue is [`ServeError::QueueFull`] and the caller backs off.
 //! * **Dynamic batching** — same-shape requests are coalesced up to the
-//!   configured batch size or linger budget, then executed with
+//!   configured batch size or linger budget, each batch key lingering on
+//!   its own clock while its requests stay queued, then executed with
 //!   [`heterosvd::Accelerator::run_many`]; every request in a batch of
 //!   size `B` is charged the Eq. (14) system time `⌈B / P_task⌉ · t_task`
 //!   (see [`LatencyRecord::sim_exec_ps`]).
 //! * **Shape-classed SLO scheduling** — with
 //!   [`ServeConfig::shape_classed`] on, admission routes into per
 //!   (shape, [`SloClass`]) sub-queues ordered by effective deadline:
-//!   batch formation seeds from the earliest-deadline class (EDF)
-//!   instead of strict FIFO, a full queue evicts the latest-deadline
-//!   lower-priority request to admit a more urgent one, replicas
-//!   work-steal batches across sub-pools, and a windowed
+//!   among the due batch keys, formation picks the earliest deadline
+//!   (EDF) instead of the oldest request, a full queue evicts the
+//!   latest-deadline lower-priority request to admit a more urgent one,
+//!   replicas work-steal batches across sub-pools, and a windowed
 //!   timeout-fraction load shedder sheds Batch (then Standard) traffic
 //!   with [`ServeError::Overloaded`] before the queue collapses.
 //! * **Lifecycle** — per-request deadlines, cancellation, worker-panic

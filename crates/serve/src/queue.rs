@@ -219,6 +219,13 @@ impl<T> BoundedQueue<T> {
         taken
     }
 
+    /// Calls `f` on every queued item, front to back, under the queue's
+    /// lock. The batcher uses it to survey (and stamp) the requests
+    /// that stay queued while their batch keys linger.
+    pub fn for_each_mut<F: FnMut(&mut T)>(&self, f: F) {
+        self.state.lock().buf.iter_mut().for_each(f);
+    }
+
     /// Closes the queue: pushes fail from now on, pops drain the
     /// remainder. Idempotent.
     pub fn close(&self) {

@@ -69,7 +69,7 @@ impl RequestType {
 /// Service-level-objective class attached at submission. The class
 /// drives the shape-classed scheduler (see `scheduler`): it sets the
 /// request's *scheduling horizon* — the effective deadline the EDF
-/// seed pick and admission-eviction order on when no explicit timeout
+/// batch formation and admission eviction order on when no explicit timeout
 /// was given — and its shedding priority under overload. It never, by
 /// itself, times a request out: only an explicit per-request timeout
 /// (or the service default) produces `DeadlineExceeded`.
@@ -195,17 +195,25 @@ pub struct PlanInfo {
 /// Where each slice of a request's life went.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyRecord {
-    /// Wall-clock time from admission until the batcher picked the
-    /// request out of the queue.
+    /// Wall-clock time from admission until the batcher first saw the
+    /// request queued. The batcher surveys the queue on every arrival,
+    /// so this is near zero unless it was busy handing a formed batch
+    /// to a full dispatch queue.
     pub queue_wait: Duration,
-    /// Wall-clock time the request spent inside the batcher while the
-    /// batch filled (bounded by the configured max linger).
+    /// Wall-clock time from that first sighting until a replica started
+    /// the batch: waiting for batch-mates (the request's key lingers on
+    /// its own clock, at most the configured max linger counted from
+    /// admission) plus waiting in dispatch for a replica.
     pub batch_linger: Duration,
-    /// Simulated execution time charged to the request: the Eq. (14)
-    /// batch system time `⌈B / P_task⌉ · t_task`, in picoseconds. Every
-    /// request in a batch is charged the same amount.
+    /// Simulated execution time charged to the request, in picoseconds.
+    /// Decompose and apply requests are charged their batch's Eq. (14)
+    /// system time `⌈B / P_task⌉ · t_task`, the same for every member.
+    /// Update requests execute one by one, so each is charged its own
+    /// route's task time (0 for the host-only low-rank route), not a
+    /// batch time.
     pub sim_exec_ps: u64,
-    /// Size of the batch the request executed in.
+    /// Size of the batch the request executed in (for updates, the
+    /// formed batch, although its members are charged separately).
     pub batch_size: usize,
     /// Wall-clock time from admission until completion.
     pub wall_total: Duration,
@@ -595,6 +603,9 @@ pub(crate) struct PendingRequest {
     pub(crate) state: Arc<RequestState>,
     pub(crate) submitted_at: Instant,
     pub(crate) deadline: Option<Instant>,
+    /// When the batcher first saw the request queued (`None` until its
+    /// first survey); the end of the request's queue wait.
+    pub(crate) seen_at: Option<Instant>,
     /// SLO class stamped at admission; read by the shape-classed
     /// scheduler and the per-class metrics.
     pub(crate) class: SloClass,
@@ -753,6 +764,7 @@ mod tests {
             state: RequestState::new(),
             submitted_at: now,
             deadline: None,
+            seen_at: None,
             class: SloClass::Batch,
             poison: false,
         };

@@ -5,11 +5,11 @@
 //! [`ClassScheduler`] instead of the shape-blind FIFO
 //! [`crate::queue::BoundedQueue`]:
 //!
-//! * **EDF seeding** — batch formation seeds from the class queue whose
-//!   head has the earliest *effective* deadline (the explicit deadline,
-//!   or submission time plus the class horizon). A rare Interactive
-//!   request therefore jumps a backlog of Batch-class work instead of
-//!   waiting out the FIFO.
+//! * **EDF formation** — among the batch keys that are due, the batcher
+//!   forms the one holding the earliest *effective* deadline (the
+//!   explicit deadline, or submission time plus the class horizon). A
+//!   rare Interactive request therefore jumps a backlog of Batch-class
+//!   work instead of waiting out the FIFO.
 //! * **EDF admission** — a full scheduler does not blindly reject: an
 //!   incoming request that is strictly more urgent than the
 //!   latest-deadline request of an equal-or-lower-priority class evicts
@@ -26,8 +26,7 @@
 //! factors stay bit-identical to the FIFO path and to a solo
 //! accelerator run.
 
-use crate::batcher::{self, Batch, BatchEntry, FormOutcome, POLL_TICK};
-use crate::config::ServeConfig;
+use crate::batcher::{Admission, Batch};
 use crate::error::ServeError;
 use crate::metrics::Metrics;
 use crate::queue::{PopResult, PushError};
@@ -57,8 +56,8 @@ struct SchedState {
     queues: Vec<ClassQueue>,
     /// Total requests across all sub-queues (bounded by `capacity`).
     len: usize,
-    /// Bumps on every successful push; the batcher's linger snapshots
-    /// it before sweeping so a racing push wakes the wait immediately.
+    /// Bumps on every successful push; the batcher snapshots it before
+    /// surveying so a racing push wakes its wait immediately.
     push_seq: u64,
     closed: bool,
 }
@@ -66,8 +65,8 @@ struct SchedState {
 /// The shape-classed admission structure replacing the FIFO queue.
 pub(crate) struct ClassScheduler {
     state: Mutex<SchedState>,
-    /// Signalled on every push and on close; the batcher's seed wait
-    /// and linger wait park here.
+    /// Signalled on every push and on close; the batcher's wait parks
+    /// here.
     push_cv: Condvar,
     capacity: usize,
     /// Current shed tier, written by the [`ShedController`] and read by
@@ -170,38 +169,9 @@ impl ClassScheduler {
         Ok(())
     }
 
-    /// Pops the next batch seed: the head of the class queue whose head
-    /// has the earliest effective deadline (EDF across every key and
-    /// class). Blocks up to `timeout` for an arrival.
-    pub(crate) fn pop_seed(&self, timeout: Duration) -> PopResult<PendingRequest> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock();
-        loop {
-            if st.len > 0 {
-                let qi = st
-                    .queues
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, q)| !q.buf.is_empty())
-                    .min_by_key(|(_, q)| q.buf.front().expect("non-empty").effective_deadline())
-                    .map(|(qi, _)| qi)
-                    .expect("len > 0 implies a non-empty queue");
-                let request = st.queues[qi].buf.pop_front().expect("non-empty");
-                st.len -= 1;
-                return PopResult::Item(request);
-            }
-            if st.closed {
-                return PopResult::Closed;
-            }
-            if self.push_cv.wait_until(&mut st, deadline).timed_out() && st.len == 0 {
-                return PopResult::TimedOut;
-            }
-        }
-    }
-
     /// Removes up to `max` queued requests whose batch key is `key`,
     /// earliest effective deadline first *across* classes — so a batch
-    /// seeded by an urgent request still coalesces same-shape work from
+    /// formed for an urgent request still coalesces same-shape work from
     /// lower-priority classes (fill amortizes Eq. 14 for everyone).
     pub(crate) fn take_matching(&self, key: BatchKey, max: usize) -> Vec<PendingRequest> {
         let mut st = self.state.lock();
@@ -221,15 +191,30 @@ impl ClassScheduler {
         taken
     }
 
-    /// The current push-sequence counter (see
-    /// [`crate::queue::BoundedQueue::push_seq`]).
-    pub(crate) fn push_seq(&self) -> u64 {
+    pub(crate) fn close(&self) {
+        let mut st = self.state.lock();
+        st.closed = true;
+        drop(st);
+        self.push_cv.notify_all();
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.state.lock().len
+    }
+}
+
+impl Admission for ClassScheduler {
+    const EDF: bool = true;
+
+    fn is_closed(&self) -> bool {
+        self.state.lock().closed
+    }
+
+    fn push_seq(&self) -> u64 {
         self.state.lock().push_seq
     }
 
-    /// Blocks until a push after `seen`, the scheduler closes, or
-    /// `deadline` passes. Returns whether a new push happened.
-    pub(crate) fn wait_for_push(&self, seen: u64, deadline: Instant) -> bool {
+    fn wait_for_push(&self, seen: u64, deadline: Instant) -> bool {
         let mut st = self.state.lock();
         loop {
             if st.push_seq != seen {
@@ -244,72 +229,16 @@ impl ClassScheduler {
         }
     }
 
-    pub(crate) fn close(&self) {
+    fn for_each_queued(&self, visit: &mut dyn FnMut(&mut PendingRequest)) {
         let mut st = self.state.lock();
-        st.closed = true;
-        drop(st);
-        self.push_cv.notify_all();
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.state.lock().len
-    }
-}
-
-/// Forms one batch from the scheduler: EDF seed, then a linger sweep of
-/// same-key requests under the seed's per-class `policy` — which maps
-/// `(key, class)` to the `(max_batch, max_linger)` budget this batch
-/// forms under (Interactive lingers less; PLIO-critical shapes cap at
-/// the stripe capacity). Mirrors [`batcher::form_batch`] and shares its
-/// dispatch-time re-filter.
-pub(crate) fn form_batch_classed(
-    scheduler: &ClassScheduler,
-    config: &ServeConfig,
-    metrics: &Metrics,
-    policy: &dyn Fn(BatchKey, SloClass) -> (usize, Duration),
-) -> FormOutcome {
-    let seed = loop {
-        match scheduler.pop_seed(POLL_TICK) {
-            PopResult::Item(request) => {
-                if let Some(request) = batcher::admit_or_complete(request, metrics) {
-                    break request;
-                }
-            }
-            PopResult::TimedOut => return FormOutcome::Idle,
-            PopResult::Closed => return FormOutcome::Drained,
-        }
-    };
-
-    let key = seed.batch_key();
-    let (max_batch, max_linger) = policy(key, seed.class);
-    let max_batch = max_batch.clamp(1, config.max_batch);
-    let linger_deadline = Instant::now() + max_linger.min(config.max_linger);
-    let mut entries = vec![BatchEntry {
-        request: seed,
-        picked_at: Instant::now(),
-    }];
-
-    while entries.len() < max_batch {
-        let seen = scheduler.push_seq();
-        let wanted = max_batch - entries.len();
-        let picked_at = Instant::now();
-        for request in scheduler.take_matching(key, wanted) {
-            if let Some(request) = batcher::admit_or_complete(request, metrics) {
-                entries.push(BatchEntry { request, picked_at });
-            }
-        }
-        if entries.len() >= max_batch {
-            break;
-        }
-        if Instant::now() >= linger_deadline {
-            break;
-        }
-        if !scheduler.wait_for_push(seen, linger_deadline) {
-            break;
+        for queue in &mut st.queues {
+            queue.buf.iter_mut().for_each(&mut *visit);
         }
     }
 
-    batcher::finish_batch(key, entries, config, metrics)
+    fn take_key(&self, key: BatchKey, max: usize) -> Vec<PendingRequest> {
+        self.take_matching(key, max)
+    }
 }
 
 /// Per-sub-pool dispatch with work stealing. Batches route to a pool by
@@ -494,6 +423,8 @@ impl ShedController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batcher::{self, BatchEntry, FormOutcome};
+    use crate::config::ServeConfig;
     use crate::request::{Payload, RequestId, RequestState};
     use std::sync::Arc;
     use svd_kernels::Matrix;
@@ -509,8 +440,34 @@ mod tests {
             state: RequestState::new(),
             submitted_at: Instant::now(),
             deadline: None,
+            seen_at: None,
             class,
             poison: false,
+        }
+    }
+
+    /// A request admitted `age` ago, without the test sleeping for it.
+    fn aged(id: u64, shape: (usize, usize), class: SloClass, age: Duration) -> PendingRequest {
+        let mut request = pending(id, shape, class);
+        request.submitted_at -= age;
+        request
+    }
+
+    /// One classed formation call: every (key, class) gets a cap of 4
+    /// and a 1 s linger.
+    fn form(sched: &ClassScheduler, metrics: &Metrics) -> FormOutcome {
+        let config = ServeConfig {
+            max_linger: Duration::from_secs(1),
+            ..ServeConfig::default()
+        };
+        batcher::form_batch(sched, &config, metrics, &|_, _| (4, config.max_linger))
+    }
+
+    fn formed_ids(out: FormOutcome) -> Vec<u64> {
+        match out {
+            FormOutcome::Formed(batch) => batch.entries.iter().map(|e| e.request.id.0).collect(),
+            FormOutcome::Idle => panic!("expected a batch, got Idle"),
+            FormOutcome::Drained => panic!("expected a batch, got Drained"),
         }
     }
 
@@ -543,23 +500,20 @@ mod tests {
         let sched = ClassScheduler::new(16);
         let metrics = Metrics::new();
         // Ten Batch-class requests of the dominant shape queue first;
-        // an Interactive request of a rarer shape lands last. Its class
-        // horizon (100 ms) orders it far ahead of the 10 s Batch
-        // horizon, so EDF seeds from it immediately — the FIFO would
-        // have served all ten dominants first.
+        // an Interactive request of a rarer shape lands last. Both keys
+        // are due, and the Interactive class horizon (100 ms) orders it
+        // far ahead of the 10 s Batch horizon, so EDF forms it first —
+        // the FIFO would have served the dominant backlog first.
+        let waited = Duration::from_secs(2);
         for id in 0..10 {
             sched
-                .try_push(pending(id, (32, 32), SloClass::Batch), &metrics)
+                .try_push(aged(id, (32, 32), SloClass::Batch, waited), &metrics)
                 .unwrap();
         }
         sched
-            .try_push(pending(99, (8, 8), SloClass::Interactive), &metrics)
+            .try_push(aged(99, (8, 8), SloClass::Interactive, waited), &metrics)
             .unwrap();
-        let seed = match sched.pop_seed(Duration::from_millis(10)) {
-            PopResult::Item(r) => r,
-            other => panic!("expected a seed, got {:?}", std::mem::discriminant(&other)),
-        };
-        assert_eq!(seed.id, RequestId(99));
+        assert_eq!(formed_ids(form(&sched, &metrics)), vec![99]);
         assert_eq!(sched.len(), 10);
     }
 
@@ -568,31 +522,25 @@ mod tests {
         let sched = ClassScheduler::new(16);
         let metrics = Metrics::new();
         let now = Instant::now();
-        sched
-            .try_push(
-                pending_at(1, (8, 8), SloClass::Standard, now + Duration::from_secs(5)),
-                &metrics,
-            )
-            .unwrap();
-        sched
-            .try_push(
-                pending_at(2, (8, 8), SloClass::Standard, now + Duration::from_secs(1)),
-                &metrics,
-            )
-            .unwrap();
-        sched
-            .try_push(
-                pending_at(3, (8, 8), SloClass::Standard, now + Duration::from_secs(3)),
-                &metrics,
-            )
-            .unwrap();
-        let order: Vec<u64> = (0..3)
-            .map(|_| match sched.pop_seed(Duration::from_millis(10)) {
-                PopResult::Item(r) => r.id.0,
-                _ => panic!("expected an item"),
-            })
-            .collect();
-        assert_eq!(order, vec![2, 3, 1], "EDF, not FIFO");
+        for (id, secs) in [(1, 5), (2, 1), (3, 3)] {
+            sched
+                .try_push(
+                    pending_at(
+                        id,
+                        (8, 8),
+                        SloClass::Standard,
+                        now + Duration::from_secs(secs),
+                    ),
+                    &metrics,
+                )
+                .unwrap();
+        }
+        sched.close();
+        assert_eq!(
+            formed_ids(form(&sched, &metrics)),
+            vec![2, 3, 1],
+            "EDF, not FIFO"
+        );
     }
 
     #[test]
@@ -619,11 +567,10 @@ mod tests {
         let snap = metrics.snapshot(0, 0);
         assert_eq!(snap.per_class.batch.shed, 1);
         assert_eq!(snap.shed, 1);
-        // The evicted request is gone; the urgent one seeds first.
-        match sched.pop_seed(Duration::from_millis(10)) {
-            PopResult::Item(r) => assert_eq!(r.id, RequestId(3)),
-            _ => panic!("expected an item"),
-        }
+        // The evicted request is gone; the urgent one is formed first.
+        sched.close();
+        assert_eq!(formed_ids(form(&sched, &metrics)), vec![3]);
+        assert_eq!(formed_ids(form(&sched, &metrics)), vec![2]);
     }
 
     #[test]
@@ -685,15 +632,9 @@ mod tests {
             .unwrap();
         sched.close();
         // Already-queued work still drains...
-        assert!(matches!(
-            sched.pop_seed(Duration::from_millis(5)),
-            PopResult::Item(_)
-        ));
-        // ...then the scheduler reports closed, and new pushes fail.
-        assert!(matches!(
-            sched.pop_seed(Duration::from_millis(5)),
-            PopResult::Closed
-        ));
+        assert_eq!(formed_ids(form(&sched, &metrics)), vec![1]);
+        // ...then the scheduler reports drained, and new pushes fail.
+        assert!(matches!(form(&sched, &metrics), FormOutcome::Drained));
         let err = sched
             .try_push(pending(2, (8, 8), SloClass::Standard), &metrics)
             .unwrap_err();
@@ -781,40 +722,79 @@ mod tests {
     }
 
     #[test]
-    fn form_batch_classed_seeds_urgent_and_sweeps_same_key() {
+    fn classed_formation_picks_urgent_and_sweeps_same_key() {
         let sched = ClassScheduler::new(16);
         let metrics = Metrics::new();
-        let config = ServeConfig {
-            max_batch: 4,
-            max_linger: Duration::from_millis(5),
-            ..ServeConfig::default()
-        };
+        let waited = Duration::from_secs(2);
         for id in 0..3 {
+            sched
+                .try_push(aged(id, (32, 32), SloClass::Batch, waited), &metrics)
+                .unwrap();
+        }
+        sched
+            .try_push(aged(9, (8, 8), SloClass::Interactive, waited), &metrics)
+            .unwrap();
+        // First batch: the urgent (8,8) Interactive, which has no
+        // same-key peers — a singleton, ahead of the Batch backlog.
+        assert_eq!(formed_ids(form(&sched, &metrics)), vec![9]);
+        // Second batch: the (32,32) Batch-class backlog coalesces.
+        assert_eq!(formed_ids(form(&sched, &metrics)), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn full_key_is_formed_before_a_more_urgent_lingering_key() {
+        // EDF orders only the keys that are due: a fresh Interactive
+        // request lingering on its own clock does not hold back a
+        // Batch-class key that has reached its cap, and stays queued.
+        let sched = ClassScheduler::new(16);
+        let metrics = Metrics::new();
+        sched
+            .try_push(pending(9, (8, 8), SloClass::Interactive), &metrics)
+            .unwrap();
+        for id in 0..4 {
             sched
                 .try_push(pending(id, (32, 32), SloClass::Batch), &metrics)
                 .unwrap();
         }
+        assert_eq!(formed_ids(form(&sched, &metrics)), vec![0, 1, 2, 3]);
+        assert_eq!(sched.len(), 1, "the Interactive key keeps lingering");
+    }
+
+    #[test]
+    fn a_due_key_takes_every_class_of_its_queued_peers() {
+        // One due request makes its key due for every class queued
+        // under it: the cut takes the young Interactive and Standard
+        // peers with it, earliest effective deadline first.
+        let sched = ClassScheduler::new(16);
+        let metrics = Metrics::new();
         sched
-            .try_push(pending(9, (8, 8), SloClass::Interactive), &metrics)
+            .try_push(
+                aged(1, (8, 8), SloClass::Batch, Duration::from_secs(2)),
+                &metrics,
+            )
             .unwrap();
-        let policy = |_key: BatchKey, _class: SloClass| (4usize, Duration::from_millis(5));
-        // First batch: seeded by the urgent (8,8) Interactive, which has
-        // no same-key peers — a singleton, ahead of the Batch backlog.
-        let out = form_batch_classed(&sched, &config, &metrics, &policy);
-        let batch = match out {
-            FormOutcome::Formed(b) => b,
-            _ => panic!("expected a batch"),
-        };
-        assert_eq!(batch.key, BatchKey::Decompose { rows: 8, cols: 8 });
-        assert_eq!(batch.entries.len(), 1);
-        assert_eq!(batch.entries[0].request.id, RequestId(9));
-        // Second batch: the (32,32) Batch-class backlog coalesces.
-        let out = form_batch_classed(&sched, &config, &metrics, &policy);
-        let batch = match out {
-            FormOutcome::Formed(b) => b,
-            _ => panic!("expected a batch"),
-        };
-        assert_eq!(batch.key, BatchKey::Decompose { rows: 32, cols: 32 });
-        assert_eq!(batch.entries.len(), 3);
+        sched
+            .try_push(pending(2, (8, 8), SloClass::Standard), &metrics)
+            .unwrap();
+        sched
+            .try_push(pending(3, (8, 8), SloClass::Interactive), &metrics)
+            .unwrap();
+        assert_eq!(formed_ids(form(&sched, &metrics)), vec![3, 2, 1]);
+        assert_eq!(sched.len(), 0);
+    }
+
+    #[test]
+    fn lingering_requests_stay_in_the_scheduler() {
+        // Nothing is due under a 1 s linger: the call returns Idle with
+        // every request still queued and counted.
+        let sched = ClassScheduler::new(16);
+        let metrics = Metrics::new();
+        for id in 0..3 {
+            sched
+                .try_push(pending(id, (8, 8), SloClass::Standard), &metrics)
+                .unwrap();
+        }
+        assert!(matches!(form(&sched, &metrics), FormOutcome::Idle));
+        assert_eq!(sched.len(), 3);
     }
 }

@@ -12,7 +12,7 @@ use crate::request::{
     SvdResponse, UpdateHandle, UpdateResponse,
 };
 use crate::scheduler::{
-    self, ClassScheduler, ShedController, StealingDispatch, SHED_BATCH, SHED_STANDARD,
+    ClassScheduler, ShedController, StealingDispatch, SHED_BATCH, SHED_STANDARD,
 };
 use aie_sim::TimePs;
 use factor_store::{FactorStore, ModelId, PublishedFactors};
@@ -133,10 +133,11 @@ impl Inner {
         self.admission.len() + self.scheduler.as_ref().map_or(0, ClassScheduler::len)
     }
 
-    /// Per-(key, class) batch-formation budget: how large this batch may
-    /// grow and how long it may linger waiting to fill.
+    /// Per-(key, class) batch-formation budget: how large the key's
+    /// batch may grow and how long a request of the class may wait for
+    /// batch-mates, counted from its admission.
     ///
-    /// * Interactive seeds linger a quarter of the configured budget —
+    /// * Interactive requests linger a quarter of the configured budget —
     ///   their SLO buys latency with fill, Eq. 14 be damned.
     /// * When the shape's observed critical resource is PLIO (I/O-bound,
     ///   e.g. 26.6% PLIO vs higher core slack at small shapes), batches
@@ -628,6 +629,7 @@ impl SvdService {
             state: Arc::clone(&state),
             submitted_at,
             deadline: timeout.map(|t| submitted_at + t),
+            seen_at: None,
             class: options.class,
             poison,
         };
@@ -770,14 +772,15 @@ fn batcher_main(inner: Arc<Inner>) {
         let outcome = match &inner.scheduler {
             Some(sched) => {
                 shed.update(&inner.metrics, sched);
-                scheduler::form_batch_classed(
-                    sched,
-                    &inner.config,
-                    &inner.metrics,
-                    &|key, class| inner.class_policy(key, class),
-                )
+                batcher::form_batch(sched, &inner.config, &inner.metrics, &|key, class| {
+                    inner.class_policy(key, class)
+                })
             }
-            None => batcher::form_batch(&inner.admission, &inner.config, &inner.metrics),
+            None => {
+                batcher::form_batch(&inner.admission, &inner.config, &inner.metrics, &|_, _| {
+                    (inner.config.max_batch, inner.config.max_linger)
+                })
+            }
         };
         match outcome {
             FormOutcome::Formed(batch) => {
@@ -1431,7 +1434,7 @@ fn run_update_route(
             let v = output.result.recover_v(&matrix).map_err(numeric)?;
             let truncated = output
                 .result
-                .truncate(&matrix, cache_rank)
+                .truncate_with_v(&v, cache_rank)
                 .map_err(numeric)?;
             let sigma = sorted_sigma(&output.result.sigma);
             // Full refresh: the staleness counter restarts.

@@ -15,9 +15,9 @@ fn well_conditioned(rows: usize, cols: usize, salt: u64) -> Matrix<f64> {
     })
 }
 
-/// Backpressure: while the batcher lingers on one shape, submissions of
-/// a *different* shape accumulate in the admission queue; once it holds
-/// `queue_capacity` requests the next submission is rejected with
+/// Backpressure: lingering requests wait in the admission queue, so
+/// while every shape lingers, submissions accumulate there; once it
+/// holds `queue_capacity` requests the next submission is rejected with
 /// `QueueFull`, and every admitted request still completes.
 #[test]
 fn backpressure_rejects_beyond_queue_bound() {
@@ -26,8 +26,8 @@ fn backpressure_rejects_beyond_queue_bound() {
         workers: 1,
         queue_capacity: capacity,
         max_batch: 64,
-        // Long linger: the batcher sits on the first shape while the
-        // other-shape burst below fills the queue.
+        // Long linger: nothing is formed while the burst below fills
+        // the queue.
         max_linger: Duration::from_millis(400),
         ..ServeConfig::default()
     })
@@ -37,8 +37,8 @@ fn backpressure_rejects_beyond_queue_bound() {
     let seed = service.try_submit(well_conditioned(8, 8, 0)).unwrap();
     std::thread::sleep(Duration::from_millis(50));
 
-    // ...then burst more (12, 8) requests than the queue can hold. The
-    // lingering batcher only sweeps (8, 8), so these stay queued.
+    // ...then burst more (12, 8) requests than the queue can hold. Both
+    // shapes are still lingering, so these stay queued.
     let mut admitted = vec![seed];
     let mut rejections = 0;
     for salt in 0..(capacity as u64 + 4) {

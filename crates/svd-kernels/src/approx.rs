@@ -144,6 +144,8 @@ impl<T: Real> SvdResult<T> {
     /// Cuts this factorization to its `rank` largest components,
     /// recovering `V` from `a` when the solver did not accumulate it
     /// (the accelerator never does — see [`SvdResult::recover_v`]).
+    /// Only the `rank` retained columns of `V` are recovered, each
+    /// bit-identical to the same column of [`SvdResult::recover_v`].
     ///
     /// Components whose singular value sits at the numerical noise
     /// floor (`σⱼ ≤ 64·ε·σ_max`, the same gate [`SvdResult::recover_v`]
@@ -157,20 +159,61 @@ impl<T: Real> SvdResult<T> {
     ///
     /// * [`SvdError::InvalidParameter`] — `rank` is zero or exceeds the
     ///   number of singular values.
-    /// * [`SvdError::DimensionMismatch`] — from [`SvdResult::recover_v`].
+    /// * [`SvdError::DimensionMismatch`] — `a`'s shape does not match
+    ///   the factors (checked only when `V` must be recovered).
     pub fn truncate(&self, a: &Matrix<T>, rank: usize) -> Result<TruncatedSvd<T>, SvdError> {
+        if let Some(v) = &self.v {
+            return self.truncate_with_v(v, rank);
+        }
+        self.check_rank(rank)?;
+        self.check_source(a)?;
+        let gate = self.recovery_gate();
+        Ok(self.cut(rank, a.cols(), |j, col| self.recover_v_col(a, j, gate, col)))
+    }
+
+    /// [`SvdResult::truncate`] against a right basis the caller already
+    /// holds — the accumulated `V`, or one from [`SvdResult::recover_v`]
+    /// — so a caller that needs the full basis anyway recovers it once.
+    ///
+    /// # Errors
+    ///
+    /// * [`SvdError::InvalidParameter`] — `rank` is zero or exceeds the
+    ///   number of singular values.
+    /// * [`SvdError::DimensionMismatch`] — `v` is not n×n for the
+    ///   factors' n columns.
+    pub fn truncate_with_v(&self, v: &Matrix<T>, rank: usize) -> Result<TruncatedSvd<T>, SvdError> {
+        self.check_rank(rank)?;
+        let n = self.sigma.len();
+        if v.rows() != n || v.cols() != n {
+            return Err(SvdError::DimensionMismatch(format!(
+                "right basis is {}x{} but the factors have {n} columns",
+                v.rows(),
+                v.cols()
+            )));
+        }
+        Ok(self.cut(rank, n, |j, col| col.copy_from_slice(v.col(j))))
+    }
+
+    fn check_rank(&self, rank: usize) -> Result<(), SvdError> {
         if rank == 0 || rank > self.sigma.len() {
             return Err(SvdError::InvalidParameter(format!(
                 "truncation rank {rank} outside 1..={}",
                 self.sigma.len()
             )));
         }
-        let v_full = match &self.v {
-            Some(v) => v.clone(),
-            None => self.recover_v(a)?,
-        };
+        Ok(())
+    }
+
+    /// The truncation proper: `v_col(j, out)` fills the right singular
+    /// vector of component `j` into the zeroed column `out` (n long).
+    fn cut(
+        &self,
+        rank: usize,
+        n: usize,
+        mut v_col: impl FnMut(usize, &mut [T]),
+    ) -> TruncatedSvd<T> {
         let order = self.descending_order();
-        let (m, n) = (self.u.rows(), v_full.rows());
+        let m = self.u.rows();
         let sigma_max = order.first().map_or(T::ZERO, |&j| self.sigma[j]);
         let gate = T::from_f64(64.0) * T::EPSILON * sigma_max;
         let mut u = Matrix::zeros(m, rank);
@@ -179,7 +222,7 @@ impl<T: Real> SvdResult<T> {
         for (slot, &j) in order.iter().take(rank).enumerate() {
             if self.sigma[j] > gate {
                 u.col_mut(slot).copy_from_slice(self.u.col(j));
-                v.col_mut(slot).copy_from_slice(v_full.col(j));
+                v_col(j, v.col_mut(slot));
             }
             sigma.push(self.sigma[j]);
         }
@@ -189,13 +232,13 @@ impl<T: Real> SvdResult<T> {
         let total: f64 = self.sigma.iter().map(|s| s.to_f64() * s.to_f64()).sum();
         let kept: f64 = sigma.iter().map(|s| s.to_f64() * s.to_f64()).sum();
         let retained_energy = if total > 0.0 { kept / total } else { 1.0 };
-        Ok(TruncatedSvd {
+        TruncatedSvd {
             u,
             sigma,
             v,
             tail_sigma,
             retained_energy,
-        })
+        }
     }
 }
 
@@ -216,6 +259,17 @@ impl<T: Real> SvdResult<T> {
     /// Returns [`SvdError::DimensionMismatch`] when `a`'s shape does not
     /// match the factors.
     pub fn recover_v(&self, a: &Matrix<T>) -> Result<Matrix<T>, SvdError> {
+        self.check_source(a)?;
+        let n = a.cols();
+        let gate = self.recovery_gate();
+        let mut v = Matrix::zeros(n, n);
+        for j in 0..n {
+            self.recover_v_col(a, j, gate, v.col_mut(j));
+        }
+        Ok(v)
+    }
+
+    fn check_source(&self, a: &Matrix<T>) -> Result<(), SvdError> {
         if a.rows() != self.u.rows() || a.cols() != self.u.cols() {
             return Err(SvdError::DimensionMismatch(format!(
                 "matrix is {}x{} but factors are {}x{}",
@@ -225,25 +279,31 @@ impl<T: Real> SvdResult<T> {
                 self.u.cols()
             )));
         }
-        let n = a.cols();
+        Ok(())
+    }
+
+    /// The noise floor `64·ε·σ_max` below which no `V` column is
+    /// recovered.
+    fn recovery_gate(&self) -> T {
         let sigma_max = self
             .sigma
             .iter()
             .fold(T::ZERO, |acc, &s| if s > acc { s } else { acc });
-        let gate = T::from_f64(64.0) * T::EPSILON * sigma_max;
-        let mut v = Matrix::zeros(n, n);
-        for j in 0..n {
-            let sigma = self.sigma[j];
-            if sigma <= gate {
-                continue;
-            }
-            let u_j = self.u.col(j);
-            for c in 0..n {
-                let dot: T = a.col(c).iter().zip(u_j.iter()).map(|(&x, &y)| x * y).sum();
-                v[(c, j)] = dot / sigma;
-            }
+        T::from_f64(64.0) * T::EPSILON * sigma_max
+    }
+
+    /// Writes `vⱼ = Aᵀuⱼ / σⱼ` into the zeroed column `out`, leaving it
+    /// zero when `σⱼ ≤ gate`.
+    fn recover_v_col(&self, a: &Matrix<T>, j: usize, gate: T, out: &mut [T]) {
+        let sigma = self.sigma[j];
+        if sigma <= gate {
+            return;
         }
-        Ok(v)
+        let u_j = self.u.col(j);
+        for (c, slot) in out.iter_mut().enumerate() {
+            let dot: T = a.col(c).iter().zip(u_j.iter()).map(|(&x, &y)| x * y).sum();
+            *slot = dot / sigma;
+        }
     }
 
     /// Indices of the singular values sorted descending.
@@ -539,6 +599,60 @@ mod tests {
         // Live columns stay orthonormal and reconstruct A.
         let recon_err = a.sub(&t.reconstruct()).unwrap().frobenius_norm() / a.frobenius_norm();
         assert!(recon_err < 1e-10, "reconstruction error {recon_err}");
+    }
+
+    #[test]
+    fn truncate_matches_a_truncation_of_the_full_recovered_v_bit_for_bit() {
+        // `truncate` recovers only the kept columns of V. Every rank must
+        // match a truncation built from the full `recover_v` bit for bit,
+        // in f32 (the serving precision) and f64, including past the
+        // numerical rank where the noise gate zeroes columns.
+        fn bits<T: Real>(xs: &[T]) -> Vec<u64> {
+            xs.iter().map(|x| x.to_f64().to_bits()).collect()
+        }
+        fn check<T: Real>(a: &Matrix<T>, precision: f64) {
+            let svd = hestenes_jacobi(
+                a,
+                &JacobiOptions {
+                    compute_v: false,
+                    precision,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let v_full = svd.recover_v(a).unwrap();
+            let order = svd.descending_order();
+            for rank in 1..=svd.sigma.len() {
+                let t = svd.truncate(a, rank).unwrap();
+                let reference = svd.truncate_with_v(&v_full, rank).unwrap();
+                assert_eq!(bits(t.u.as_slice()), bits(reference.u.as_slice()));
+                assert_eq!(bits(t.v.as_slice()), bits(reference.v.as_slice()));
+                assert_eq!(t.sigma, reference.sigma);
+                assert_eq!(t.tail_sigma, reference.tail_sigma);
+                assert_eq!(t.retained_energy, reference.retained_energy);
+                // Each live column is the recovered column itself.
+                for (slot, &j) in order.iter().take(rank).enumerate() {
+                    if t.u.col(slot).iter().any(|&x| x != T::ZERO) {
+                        assert_eq!(bits(t.v.col(slot)), bits(v_full.col(j)), "rank {rank}");
+                    }
+                }
+            }
+        }
+        check(&sample(12, 8), 1e-13);
+        check::<f32>(&sample(12, 8).cast(), 1e-6);
+        let deficient = sample(12, 3).matmul(&sample(8, 3).transpose()).unwrap();
+        check(&deficient, 1e-13);
+        check::<f32>(&deficient.cast(), 1e-6);
+    }
+
+    #[test]
+    fn truncate_with_v_rejects_a_misshapen_basis() {
+        let a = sample(10, 6);
+        let svd = svd_without_v(&a);
+        assert!(matches!(
+            svd.truncate_with_v(&Matrix::zeros(6, 5), 2),
+            Err(SvdError::DimensionMismatch(_))
+        ));
     }
 
     #[test]
