@@ -14,18 +14,19 @@
 //!    mix stays similar (a stationary service costs one similarity
 //!    check per tick, not a sweep);
 //! 3. **maybe swaps** — commits the winning `(P_eng, P_task)` plan to
-//!    the replicas' shared [`LivePlan`] with drain-and-replace
+//!    the replicas' shared live [`PlanInfo`] with drain-and-replace
 //!    semantics, but only past three hysteresis gates: a post-swap
 //!    cooldown (skip re-scoring until post-swap windows reflect the
 //!    new plan), a minimum dwell time on the current plan, and a
 //!    relative improvement threshold the candidate must clear.
 //!
 //! Everything the controller reads is a *cumulative* counter: it never
-//! drains the windowed state the metrics scrape owns, so running the
+//! drains the windowed state metrics snapshots own, so running the
 //! controller does not perturb what operators see.
 
 use crate::metrics::ShapeTotals;
-use crate::service::{Inner, LivePlan};
+use crate::request::PlanInfo;
+use crate::service::Inner;
 use heterosvd_dse::{DseConfig, MixSearch, ObservedShape, WorkloadMix};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -38,7 +39,7 @@ const MIX_SIMILARITY_TOL: f64 = 0.15;
 
 /// Controller thread: observe → re-plan → maybe-swap every
 /// [`crate::ServeConfig::autoscale_interval`] until shutdown flips
-/// `autoscale_stop` (same parking protocol as the metrics scraper).
+/// `autoscale_stop`.
 pub(crate) fn autoscale_main(inner: Arc<Inner>) {
     let interval = inner.config.autoscale_interval;
     let mut controller = Controller::new(&inner);
@@ -270,16 +271,11 @@ impl Controller {
         // plan and everything after executes under the new one.
         {
             let mut live = inner.live_plan.lock();
-            *live = LivePlan {
+            *live = PlanInfo {
                 engine_parallelism: best.engine_parallelism,
                 task_parallelism: best.task_parallelism,
                 generation: live.generation + 1,
             };
-            inner.metrics.set_current_plan(
-                live.engine_parallelism,
-                live.task_parallelism,
-                live.generation,
-            );
         }
         inner.metrics.record_plan_swap();
         self.last_swap = Some(Instant::now());

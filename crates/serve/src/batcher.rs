@@ -1,21 +1,20 @@
 //! Batch formation: every batch key lingers on its own clock.
 //!
-//! Requests stay in the admission structure — the FIFO
-//! [`BoundedQueue`] or the shape-classed
-//! [`ClassScheduler`](crate::scheduler::ClassScheduler) — until their
-//! batch is formed. A key is *due* once it has its batch cap queued,
-//! once its oldest queued request has waited its linger budget (counted
-//! from admission), or once admission closes. The batcher cuts the due
-//! key whose request is oldest (FIFO) or whose deadline is earliest
-//! (classed EDF) from the queue, and otherwise sleeps until the next
-//! push or the earliest key deadline. No key waits out another key's
-//! linger, and a due key takes every queued peer up to its cap.
+//! Requests stay in the admission [`ClassScheduler`] until their batch
+//! is formed. A key is *due* once it has its batch cap queued, once its
+//! oldest queued request has waited its linger budget (counted from
+//! admission), or once admission closes. The batcher cuts the due key
+//! holding the earliest [`ClassScheduler::order`] — the oldest request
+//! in FIFO mode, the earliest deadline in classed mode — and otherwise
+//! sleeps until the next push or the earliest key deadline. No key
+//! waits out another key's linger, and a due key takes every queued
+//! peer up to its cap.
 
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::metrics::Metrics;
-use crate::queue::BoundedQueue;
 use crate::request::{BatchKey, PendingRequest, SloClass};
+use crate::scheduler::ClassScheduler;
 use std::time::{Duration, Instant};
 
 /// How long one formation call waits with nothing due before it
@@ -52,54 +51,13 @@ pub(crate) enum FormOutcome {
 /// request may wait for batch-mates, counted from its admission.
 pub(crate) type Policy<'a> = &'a dyn Fn(BatchKey, SloClass) -> (usize, Duration);
 
-/// The admission structure batches are cut from.
-pub(crate) trait Admission {
-    /// Whether due keys are picked by earliest effective deadline (EDF)
-    /// rather than by oldest admission.
-    const EDF: bool;
-    fn is_closed(&self) -> bool;
-    /// Monotonic push counter; see [`BoundedQueue::push_seq`].
-    fn push_seq(&self) -> u64;
-    /// See [`BoundedQueue::wait_for_push`].
-    fn wait_for_push(&self, seen: u64, deadline: Instant) -> bool;
-    /// Visits every queued request under the structure's lock.
-    fn for_each_queued(&self, visit: &mut dyn FnMut(&mut PendingRequest));
-    /// Removes up to `max` queued requests of `key`, in the structure's
-    /// own order.
-    fn take_key(&self, key: BatchKey, max: usize) -> Vec<PendingRequest>;
-}
-
-impl Admission for BoundedQueue<PendingRequest> {
-    const EDF: bool = false;
-
-    fn is_closed(&self) -> bool {
-        BoundedQueue::is_closed(self)
-    }
-
-    fn push_seq(&self) -> u64 {
-        BoundedQueue::push_seq(self)
-    }
-
-    fn wait_for_push(&self, seen: u64, deadline: Instant) -> bool {
-        BoundedQueue::wait_for_push(self, seen, deadline)
-    }
-
-    fn for_each_queued(&self, visit: &mut dyn FnMut(&mut PendingRequest)) {
-        self.for_each_mut(visit);
-    }
-
-    fn take_key(&self, key: BatchKey, max: usize) -> Vec<PendingRequest> {
-        self.take_matching(max, |r| r.batch_key() == key)
-    }
-}
-
 /// Forms the next batch: surveys the queue, cuts the most urgent due
 /// key, and otherwise sleeps until the next push or the earliest key
 /// deadline — returning [`FormOutcome::Idle`] after a [`POLL_TICK`]
 /// with nothing due. `policy` gives each (key, class) its cap and
 /// linger budget, each clamped to `config`.
-pub(crate) fn form_batch<A: Admission>(
-    admission: &A,
+pub(crate) fn form_batch(
+    admission: &ClassScheduler,
     config: &ServeConfig,
     metrics: &Metrics,
     policy: Policy<'_>,
@@ -142,25 +100,26 @@ struct KeyState {
     queued: usize,
     /// Admission time of the key's oldest queued request, per class.
     oldest: [Option<Instant>; SloClass::ALL.len()],
-    /// Earliest effective deadline among the key's queued requests.
-    urgent: Instant,
+    /// Earliest [`ClassScheduler::order`] among the key's queued
+    /// requests: its rank among the due keys.
+    first: Instant,
 }
 
 /// Surveys every queued request — stamping the ones the batcher sees
-/// for the first time — and picks the due key to form: the one whose
-/// request is oldest, or by EDF when `A::EDF`.
-fn next_due<A: Admission>(
-    admission: &A,
+/// for the first time — and picks the due key to form: the one holding
+/// the earliest [`ClassScheduler::order`].
+fn next_due(
+    admission: &ClassScheduler,
     config: &ServeConfig,
     policy: Policy<'_>,
     now: Instant,
 ) -> Next {
     let closed = admission.is_closed();
     let mut keys: Vec<KeyState> = Vec::new();
-    admission.for_each_queued(&mut |request| {
+    admission.for_each_queued(|request| {
         request.seen_at.get_or_insert(now);
         let key = request.batch_key();
-        let deadline = request.effective_deadline();
+        let order = admission.order(request);
         let state = match keys.iter().position(|k| k.key == key) {
             Some(i) => &mut keys[i],
             None => {
@@ -168,13 +127,13 @@ fn next_due<A: Admission>(
                     key,
                     queued: 0,
                     oldest: [None; SloClass::ALL.len()],
-                    urgent: deadline,
+                    first: order,
                 });
                 keys.last_mut().expect("just pushed")
             }
         };
         state.queued += 1;
-        state.urgent = state.urgent.min(deadline);
+        state.first = state.first.min(order);
         let oldest = &mut state.oldest[request.class.index()];
         *oldest = Some(oldest.map_or(request.submitted_at, |t| t.min(request.submitted_at)));
     });
@@ -204,19 +163,8 @@ fn next_due<A: Admission>(
         }
         let due_at = due_at.expect("a surveyed key has a queued class");
         if closed || state.queued >= cap || now >= due_at {
-            let rank = if A::EDF {
-                state.urgent
-            } else {
-                state
-                    .oldest
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .min()
-                    .expect("queued")
-            };
-            if best.is_none_or(|(best_rank, _, _)| rank < best_rank) {
-                best = Some((rank, state.key, cap));
+            if best.is_none_or(|(first, _, _)| state.first < first) {
+                best = Some((state.first, state.key, cap));
             }
         } else {
             earliest_due = Some(earliest_due.map_or(due_at, |d| d.min(due_at)));
@@ -229,12 +177,12 @@ fn next_due<A: Admission>(
 }
 
 /// Cuts `key`'s batch from the queue: up to `cap` live requests,
-/// taken in the structure's order. Cancelled and deadline-expired
+/// taken in [`ClassScheduler::order`]. Cancelled and deadline-expired
 /// requests are completed with their terminal error as they are taken
 /// and never reach a replica; the cut tops the batch back up from the
 /// key's remaining peers.
-fn cut_batch<A: Admission>(
-    admission: &A,
+fn cut_batch(
+    admission: &ClassScheduler,
     key: BatchKey,
     cap: usize,
     config: &ServeConfig,
@@ -243,7 +191,7 @@ fn cut_batch<A: Admission>(
     let mut entries: Vec<BatchEntry> = Vec::with_capacity(cap);
     loop {
         let wanted = cap - entries.len();
-        let taken = admission.take_key(key, wanted);
+        let taken = admission.take_matching(key, wanted);
         let exhausted = taken.len() < wanted;
         let now = Instant::now();
         for request in taken {
@@ -307,77 +255,29 @@ fn admit_or_complete(request: PendingRequest, metrics: &Metrics) -> Option<Pendi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{Payload, RequestId, RequestState, RequestType};
+    use crate::request::fixtures::{self, pending_apply, published};
+    use crate::request::RequestType;
     use crate::{ServeError, SvdService};
-    use factor_store::{FactorMeta, ModelId, PublishedFactors};
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
-    use svd_kernels::{Matrix, TruncatedSvd};
+    use svd_kernels::Matrix;
 
     fn pending(id: u64, shape: (usize, usize)) -> PendingRequest {
-        PendingRequest {
-            id: RequestId(id),
-            payload: Payload::Decompose {
-                matrix: Matrix::zeros(shape.0, shape.1),
-                shape,
-                publish: None,
-            },
-            state: RequestState::new(),
-            submitted_at: Instant::now(),
-            deadline: None,
-            seen_at: None,
-            class: SloClass::Standard,
-            poison: false,
-        }
+        fixtures::pending(id, shape, SloClass::Standard)
     }
 
-    /// A request admitted `age` ago: one that has already waited that
-    /// long in the queue, without the test sleeping for it.
     fn aged(id: u64, shape: (usize, usize), age: Duration) -> PendingRequest {
-        let mut request = pending(id, shape);
-        request.submitted_at -= age;
-        request
+        fixtures::aged(id, shape, SloClass::Standard, age)
     }
 
-    fn published(model: u64, version: u64) -> Arc<PublishedFactors> {
-        let factors = TruncatedSvd {
-            u: Matrix::zeros(4, 2),
-            sigma: vec![2.0f32, 1.0],
-            v: Matrix::zeros(4, 2),
-            tail_sigma: 0.0,
-            retained_energy: 1.0,
-        };
-        let bytes = factors.approx_bytes();
-        Arc::new(PublishedFactors {
-            model: ModelId(model),
-            version,
-            meta: FactorMeta {
-                rows: 4,
-                cols: 4,
-                rank: 2,
-                tail_sigma: 0.0,
-                retained_energy: 1.0,
-                bytes,
-            },
-            factors,
-        })
+    /// A FIFO-mode scheduler bounded at `capacity`, as the service
+    /// builds it with `shape_classed` off.
+    fn fifo(capacity: usize) -> ClassScheduler {
+        ClassScheduler::new(capacity, false)
     }
 
-    fn pending_apply(id: u64, factors: Arc<PublishedFactors>) -> PendingRequest {
-        PendingRequest {
-            id: RequestId(id),
-            payload: Payload::Apply {
-                x: vec![0.0; factors.meta.cols],
-                rank: factors.meta.rank,
-                factors,
-            },
-            state: RequestState::new(),
-            submitted_at: Instant::now(),
-            deadline: None,
-            seen_at: None,
-            class: SloClass::Standard,
-            poison: false,
-        }
+    fn admit(queue: &ClassScheduler, request: PendingRequest) {
+        queue.try_push(request, &Metrics::new()).unwrap();
     }
 
     fn config(max_batch: usize, linger: Duration) -> ServeConfig {
@@ -390,11 +290,7 @@ mod tests {
 
     /// One FIFO formation call under `config`'s own cap and linger, as
     /// the service's batcher makes it.
-    fn form(
-        queue: &BoundedQueue<PendingRequest>,
-        config: &ServeConfig,
-        metrics: &Metrics,
-    ) -> FormOutcome {
+    fn form(queue: &ClassScheduler, config: &ServeConfig, metrics: &Metrics) -> FormOutcome {
         form_batch(queue, config, metrics, &|_, _| {
             (config.max_batch, config.max_linger)
         })
@@ -417,11 +313,11 @@ mod tests {
 
     #[test]
     fn coalesces_only_matching_shapes() {
-        let queue = BoundedQueue::new(16);
+        let queue = fifo(16);
         let metrics = Metrics::new();
-        queue.try_push(pending(1, (8, 8))).unwrap();
-        queue.try_push(pending(2, (12, 8))).unwrap();
-        queue.try_push(pending(3, (8, 8))).unwrap();
+        admit(&queue, pending(1, (8, 8)));
+        admit(&queue, pending(2, (12, 8)));
+        admit(&queue, pending(3, (8, 8)));
         let batch = formed(form(&queue, &config(4, Duration::from_millis(1)), &metrics));
         assert_eq!(batch.key, SQUARE);
         assert_eq!(ids(&batch), vec![1, 3]);
@@ -432,13 +328,13 @@ mod tests {
     fn apply_batches_split_by_model_and_version() {
         // Same model, two versions: a version bump mid-stream must not
         // mix pinned factor sets inside one batch.
-        let queue = BoundedQueue::new(16);
+        let queue = fifo(16);
         let metrics = Metrics::new();
         let v1 = published(7, 1);
         let v2 = published(7, 2);
-        queue.try_push(pending_apply(1, Arc::clone(&v1))).unwrap();
-        queue.try_push(pending_apply(2, Arc::clone(&v2))).unwrap();
-        queue.try_push(pending_apply(3, v1)).unwrap();
+        admit(&queue, pending_apply(1, Arc::clone(&v1)));
+        admit(&queue, pending_apply(2, Arc::clone(&v2)));
+        admit(&queue, pending_apply(3, v1));
         let batch = formed(form(&queue, &config(4, Duration::from_millis(1)), &metrics));
         assert_eq!(
             batch.key,
@@ -457,10 +353,10 @@ mod tests {
 
     #[test]
     fn apply_and_decompose_never_share_a_batch() {
-        let queue = BoundedQueue::new(16);
+        let queue = fifo(16);
         let metrics = Metrics::new();
-        queue.try_push(pending(1, (4, 4))).unwrap();
-        queue.try_push(pending_apply(2, published(1, 1))).unwrap();
+        admit(&queue, pending(1, (4, 4)));
+        admit(&queue, pending_apply(2, published(1, 1)));
         let batch = formed(form(&queue, &config(4, Duration::from_millis(1)), &metrics));
         assert_eq!(batch.key, BatchKey::Decompose { rows: 4, cols: 4 });
         assert_eq!(batch.entries.len(), 1);
@@ -471,10 +367,10 @@ mod tests {
     fn full_batch_short_circuits_the_linger() {
         // A key holding its cap is due at once: a 5 s linger would
         // otherwise leave this call Idle after one poll tick.
-        let queue = BoundedQueue::new(16);
+        let queue = fifo(16);
         let metrics = Metrics::new();
         for id in 0..3 {
-            queue.try_push(pending(id, (8, 8))).unwrap();
+            admit(&queue, pending(id, (8, 8)));
         }
         let start = Instant::now();
         let batch = formed(form(&queue, &config(3, Duration::from_secs(5)), &metrics));
@@ -484,13 +380,13 @@ mod tests {
 
     #[test]
     fn cancelled_requests_never_reach_a_batch() {
-        let queue = BoundedQueue::new(16);
+        let queue = fifo(16);
         let metrics = Metrics::new();
         let doomed = pending(1, (8, 8));
         doomed.state.cancelled.store(true, Ordering::SeqCst);
         let doomed_state = Arc::clone(&doomed.state);
-        queue.try_push(doomed).unwrap();
-        queue.try_push(pending(2, (8, 8))).unwrap();
+        admit(&queue, doomed);
+        admit(&queue, pending(2, (8, 8)));
         let batch = formed(form(&queue, &config(2, Duration::from_millis(1)), &metrics));
         assert_eq!(ids(&batch), vec![2]);
         assert!(!doomed_state.complete(Err(ServeError::Cancelled)));
@@ -502,28 +398,28 @@ mod tests {
         // Two of the first three peers are cancelled: the cut keeps
         // taking from the key's queued peers until the batch holds its
         // cap of live requests.
-        let queue = BoundedQueue::new(16);
+        let queue = fifo(16);
         let metrics = Metrics::new();
         for id in 0..5 {
             let request = aged(id, (8, 8), Duration::from_secs(2));
             if id == 0 || id == 2 {
                 request.state.cancelled.store(true, Ordering::SeqCst);
             }
-            queue.try_push(request).unwrap();
+            admit(&queue, request);
         }
         let batch = formed(form(&queue, &config(3, Duration::from_secs(1)), &metrics));
         assert_eq!(ids(&batch), vec![1, 3, 4]);
-        assert!(queue.is_empty());
+        assert_eq!(queue.len(), 0);
         assert_eq!(metrics.cancelled.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn expired_deadline_is_a_terminal_timeout() {
-        let queue = BoundedQueue::new(4);
+        let queue = fifo(4);
         let metrics = Metrics::new();
         let mut stale = pending(1, (8, 8));
         stale.deadline = Some(Instant::now() - Duration::from_millis(1));
-        queue.try_push(stale).unwrap();
+        admit(&queue, stale);
         let out = form(&queue, &config(2, Duration::from_millis(1)), &metrics);
         assert!(matches!(out, FormOutcome::Idle));
         assert_eq!(metrics.timed_out_batcher.load(Ordering::Relaxed), 1);
@@ -540,14 +436,14 @@ mod tests {
     /// batch dissolves into `Idle`.
     #[test]
     fn deadline_expiring_during_linger_is_dropped_before_dispatch() {
-        let queue = BoundedQueue::new(8);
+        let queue = fifo(8);
         let metrics = Metrics::new();
         // Admitted 400 ms ago with a 50 ms deadline: its 300 ms linger
         // outlived the deadline and nothing arrived to fill the batch.
         let mut request = aged(1, (8, 8), Duration::from_millis(400));
         request.deadline = Some(request.submitted_at + Duration::from_millis(50));
         let state = Arc::clone(&request.state);
-        queue.try_push(request).unwrap();
+        admit(&queue, request);
         let out = form(&queue, &config(4, Duration::from_millis(300)), &metrics);
         assert!(
             matches!(out, FormOutcome::Idle),
@@ -565,13 +461,13 @@ mod tests {
         // request fills it; the batcher must wake on that push instead
         // of sleeping out the linger (generous bound for loaded CI
         // machines).
-        let queue = Arc::new(BoundedQueue::new(8));
+        let queue = Arc::new(fifo(8));
         let metrics = Metrics::new();
-        queue.try_push(pending(1, (8, 8))).unwrap();
+        admit(&queue, pending(1, (8, 8)));
         let q2 = Arc::clone(&queue);
         let pusher = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
-            q2.try_push(pending(2, (8, 8))).unwrap();
+            admit(&q2, pending(2, (8, 8)));
         });
         let start = Instant::now();
         let config = config(2, Duration::from_secs(10));
@@ -596,10 +492,10 @@ mod tests {
         // A closed queue can never grow a batch: every key is due at
         // once instead of sleeping out its 10 s linger, which would
         // leave these calls Idle.
-        let queue = BoundedQueue::new(8);
+        let queue = fifo(8);
         let metrics = Metrics::new();
-        queue.try_push(pending(1, (8, 8))).unwrap();
-        queue.try_push(pending(2, (12, 8))).unwrap();
+        admit(&queue, pending(1, (8, 8)));
+        admit(&queue, pending(2, (12, 8)));
         queue.close();
         let config = config(4, Duration::from_secs(10));
         let start = Instant::now();
@@ -618,7 +514,7 @@ mod tests {
 
     #[test]
     fn empty_queue_reports_idle_then_drained_after_close() {
-        let queue: BoundedQueue<PendingRequest> = BoundedQueue::new(4);
+        let queue = fifo(4);
         let metrics = Metrics::new();
         let config = config(2, Duration::from_millis(1));
         assert!(matches!(form(&queue, &config, &metrics), FormOutcome::Idle));
@@ -634,11 +530,11 @@ mod tests {
         // Key A's request is older but lingers under a 10 s budget; key
         // B reaches `max_batch`. B is due and is formed at once — A does
         // not hold it back, and A stays queued on its own clock.
-        let queue = BoundedQueue::new(16);
+        let queue = fifo(16);
         let metrics = Metrics::new();
-        queue.try_push(pending(1, (8, 8))).unwrap();
+        admit(&queue, pending(1, (8, 8)));
         for id in 2..6 {
-            queue.try_push(pending(id, (12, 8))).unwrap();
+            admit(&queue, pending(id, (12, 8)));
         }
         let batch = formed(form(&queue, &config(4, Duration::from_secs(10)), &metrics));
         assert_eq!(batch.key, TALL);
@@ -651,13 +547,13 @@ mod tests {
         // Five requests of one key have waited out their 1 s linger,
         // interleaved with a younger key that has not: one batch takes
         // all five, and the cap still splits a longer backlog.
-        let queue = BoundedQueue::new(16);
+        let queue = fifo(16);
         let metrics = Metrics::new();
         let old = Duration::from_secs(2);
         for id in 0..5 {
-            queue.try_push(aged(id, (8, 8), old)).unwrap();
+            admit(&queue, aged(id, (8, 8), old));
             if id % 2 == 0 {
-                queue.try_push(pending(100 + id, (12, 8))).unwrap();
+                admit(&queue, pending(100 + id, (12, 8)));
             }
         }
         let batch = formed(form(&queue, &config(8, Duration::from_secs(1)), &metrics));
@@ -666,7 +562,7 @@ mod tests {
         assert_eq!(queue.len(), 3, "the young key keeps lingering");
 
         for id in 10..16 {
-            queue.try_push(aged(id, (8, 8), old)).unwrap();
+            admit(&queue, aged(id, (8, 8), old));
         }
         let config = config(4, Duration::from_secs(1));
         assert_eq!(
@@ -678,12 +574,12 @@ mod tests {
 
     #[test]
     fn closing_admission_forms_every_remaining_key_at_once() {
-        let queue = BoundedQueue::new(16);
+        let queue = fifo(16);
         let metrics = Metrics::new();
-        queue.try_push(pending(1, (8, 8))).unwrap();
-        queue.try_push(pending(2, (12, 8))).unwrap();
-        queue.try_push(pending(3, (8, 8))).unwrap();
-        queue.try_push(pending_apply(4, published(1, 1))).unwrap();
+        admit(&queue, pending(1, (8, 8)));
+        admit(&queue, pending(2, (12, 8)));
+        admit(&queue, pending(3, (8, 8)));
+        admit(&queue, pending_apply(4, published(1, 1)));
         let config = config(8, Duration::from_secs(10));
         let policy = |_: BatchKey, _: SloClass| (config.max_batch, config.max_linger);
         assert!(matches!(
@@ -707,15 +603,15 @@ mod tests {
         // the queue-depth gauge counts it), reports the key's deadline,
         // and stamps each request's first sighting — which a later
         // survey does not move and the batch entry inherits.
-        let queue = BoundedQueue::new(16);
+        let queue = fifo(16);
         let metrics = Metrics::new();
         for id in 0..3 {
-            queue.try_push(pending(id, (8, 8))).unwrap();
+            admit(&queue, pending(id, (8, 8)));
         }
         let config = config(8, Duration::from_secs(10));
         let policy = |_: BatchKey, _: SloClass| (config.max_batch, config.max_linger);
         let mut oldest = None;
-        queue.for_each_mut(|r| {
+        queue.for_each_queued(|r| {
             oldest.get_or_insert(r.submitted_at);
         });
         let first = Instant::now();
@@ -729,7 +625,7 @@ mod tests {
             next_due(&queue, &config, &policy, later),
             Next::Wait(Some(_))
         ));
-        queue.for_each_mut(|r| assert_eq!(r.seen_at, Some(first)));
+        queue.for_each_queued(|r| assert_eq!(r.seen_at, Some(first)));
         queue.close();
         let batch = formed(form(&queue, &config, &metrics));
         assert!(batch.entries.iter().all(|e| e.picked_at == first));

@@ -60,11 +60,6 @@ pub struct ServeConfig {
     /// [`heterosvd::HeteroSvdConfig::observability`]; modeled timing and
     /// results are bit-identical either way, so this defaults on.
     pub observability: bool,
-    /// When set, the service runs an in-process scraper thread that
-    /// captures a [`crate::MetricsReport`] at this interval; the latest
-    /// capture is available from [`crate::SvdService::latest_scrape`].
-    /// `None` (the default) spawns no scraper.
-    pub metrics_scrape_interval: Option<Duration>,
     /// Byte budget of the service's factor store (resident truncated
     /// factors published by decompose requests and served by apply
     /// requests). Least-recently-used models are evicted past it; the
@@ -136,14 +131,16 @@ pub struct ServeConfig {
     /// objective by this relative fraction (e.g. `0.1` = 10%) to trigger
     /// a swap.
     pub autoscale_improvement: f64,
-    /// Whether admission routes into per-(shape, [`crate::SloClass`])
-    /// sub-queues with earliest-effective-deadline batch seeding, EDF
+    /// The admission scheduler's mode. On, it serves requests by
+    /// effective deadline: earliest-deadline-first batch formation, EDF
     /// eviction under a full queue, per-class batch/linger policy,
     /// work-stealing dispatch sub-pools, and windowed load shedding.
-    /// Off (the default), admission is the original shape-blind FIFO
-    /// queue and the scheduler is never built. Factor outputs are
-    /// bit-identical either way — the scheduler only reorders *when*
-    /// requests execute, never what they compute.
+    /// Off (the default), it serves them in admission order: the oldest
+    /// due key forms first, a full queue refuses every push, every class
+    /// gets the configured batch/linger budget, dispatch is one FIFO
+    /// pool, and nothing is shed. Factor outputs are bit-identical
+    /// either way — the mode only decides *when* requests execute,
+    /// never what they compute.
     pub shape_classed: bool,
     /// Load-shedding trigger: when the windowed fraction of admitted
     /// requests that time out (batcher- plus exec-side) exceeds this,
@@ -171,7 +168,6 @@ impl Default for ServeConfig {
             cross_batch_pipelining: false,
             default_timeout: None,
             observability: true,
-            metrics_scrape_interval: None,
             factor_store_bytes: 64 << 20,
             array_packing: true,
             incremental: false,

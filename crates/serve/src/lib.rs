@@ -8,8 +8,8 @@
 //! of concurrent SVD requests?
 //!
 //! ```text
-//!  callers ──try_submit──▶ [bounded admission queue]   (backpressure)
-//!                                   │
+//!  callers ──try_submit──▶ [admission scheduler]       (backpressure;
+//!                                   │                   FIFO or EDF order)
 //!                             batcher thread           (coalesce same
 //!                                   │                   key, per-key linger)
 //!                           [dispatch queue]
@@ -20,22 +20,24 @@
 //! ```
 //!
 //! * **Backpressure** — [`SvdService::try_submit`] never blocks; a full
-//!   queue is [`ServeError::QueueFull`] and the caller backs off.
+//!   admission scheduler is [`ServeError::QueueFull`] and the caller
+//!   backs off.
 //! * **Dynamic batching** — same-shape requests are coalesced up to the
 //!   configured batch size or linger budget, each batch key lingering on
 //!   its own clock while its requests stay queued, then executed with
 //!   [`heterosvd::Accelerator::run_many`]; every request in a batch of
 //!   size `B` is charged the Eq. (14) system time `⌈B / P_task⌉ · t_task`
 //!   (see [`LatencyRecord::sim_exec_ps`]).
-//! * **Shape-classed SLO scheduling** — with
-//!   [`ServeConfig::shape_classed`] on, admission routes into per
-//!   (shape, [`SloClass`]) sub-queues ordered by effective deadline:
-//!   among the due batch keys, formation picks the earliest deadline
-//!   (EDF) instead of the oldest request, a full queue evicts the
-//!   latest-deadline lower-priority request to admit a more urgent one,
-//!   replicas work-steal batches across sub-pools, and a windowed
-//!   timeout-fraction load shedder sheds Batch (then Standard) traffic
-//!   with [`ServeError::Overloaded`] before the queue collapses.
+//! * **Shape-classed SLO scheduling** — admission keeps per
+//!   (batch key, [`SloClass`]) sub-queues in one scheduler whose mode is
+//!   [`ServeConfig::shape_classed`]. Off (the default), requests are
+//!   served in admission order. On, they are served by effective
+//!   deadline: among the due batch keys, formation picks the earliest
+//!   deadline (EDF) instead of the oldest request, a full scheduler
+//!   evicts the latest-deadline lower-priority request to admit a more
+//!   urgent one, replicas work-steal batches across sub-pools, and a
+//!   windowed timeout-fraction load shedder sheds Batch (then Standard)
+//!   traffic with [`ServeError::Overloaded`] before the queue collapses.
 //! * **Lifecycle** — per-request deadlines, cancellation, worker-panic
 //!   containment (the poisoned replica is retired and replaced), and
 //!   drain-on-shutdown.
@@ -96,7 +98,7 @@ mod batcher;
 mod config;
 mod error;
 mod metrics;
-pub mod queue;
+mod queue;
 mod report;
 mod request;
 mod scheduler;
@@ -105,7 +107,7 @@ mod service;
 pub use config::ServeConfig;
 pub use error::ServeError;
 pub use metrics::{
-    ClassSnapshot, MetricsSnapshot, PerClassBreakdown, PerTypeBreakdown, Percentiles, PlanSnapshot,
+    ClassSnapshot, MetricsSnapshot, PerClassBreakdown, PerTypeBreakdown, Percentiles,
     ShapeSnapshot, TypeSnapshot,
 };
 pub use report::{CacheReport, MetricsReport, ShapeUtilization};

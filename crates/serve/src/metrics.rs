@@ -1,6 +1,6 @@
 //! Service observability: counters, gauges, latency percentiles.
 
-use crate::request::{LatencyRecord, RequestType, SloClass};
+use crate::request::{LatencyRecord, PlanInfo, RequestType, SloClass};
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -58,12 +58,6 @@ pub(crate) struct Metrics {
     /// DSE re-searches the autoscale controller actually ran (cached
     /// stationary ticks do not count).
     pub(crate) dse_runs: AtomicU64,
-    /// The live plan's engine parallelism (P_eng).
-    pub(crate) plan_engine_parallelism: AtomicU64,
-    /// The live plan's task parallelism (P_task).
-    pub(crate) plan_task_parallelism: AtomicU64,
-    /// Monotonic plan generation; bumped once per committed swap.
-    pub(crate) plan_generation: AtomicU64,
     /// Batches a replica popped from another sub-pool's dispatch queue
     /// (shape-classed work stealing).
     pub(crate) batches_stolen: AtomicU64,
@@ -233,9 +227,6 @@ impl Metrics {
             staleness_fallbacks: AtomicU64::new(0),
             plan_swaps: AtomicU64::new(0),
             dse_runs: AtomicU64::new(0),
-            plan_engine_parallelism: AtomicU64::new(0),
-            plan_task_parallelism: AtomicU64::new(0),
-            plan_generation: AtomicU64::new(0),
             batches_stolen: AtomicU64::new(0),
             shed_level: AtomicU64::new(0),
             per_type: [TypeMetrics::new(), TypeMetrics::new(), TypeMetrics::new()],
@@ -329,22 +320,6 @@ impl Metrics {
         self.of(rtype)
             .timed_out_exec
             .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the plan replicas currently execute under. Called at
-    /// service start with the configured plan and by the autoscale
-    /// controller on every committed swap.
-    pub(crate) fn set_current_plan(
-        &self,
-        engine_parallelism: usize,
-        task_parallelism: usize,
-        generation: u64,
-    ) {
-        self.plan_engine_parallelism
-            .store(engine_parallelism as u64, Ordering::Relaxed);
-        self.plan_task_parallelism
-            .store(task_parallelism as u64, Ordering::Relaxed);
-        self.plan_generation.store(generation, Ordering::Relaxed);
     }
 
     pub(crate) fn record_plan_swap(&self) {
@@ -548,11 +523,8 @@ impl Metrics {
             per_shape: self.shape_snapshots(),
             plan_swaps: self.plan_swaps.load(Ordering::Relaxed),
             dse_runs: self.dse_runs.load(Ordering::Relaxed),
-            current_plan: PlanSnapshot {
-                engine_parallelism: self.plan_engine_parallelism.load(Ordering::Relaxed),
-                task_parallelism: self.plan_task_parallelism.load(Ordering::Relaxed),
-                generation: self.plan_generation.load(Ordering::Relaxed),
-            },
+            // The service fills in its live plan.
+            current_plan: PlanInfo::default(),
         }
     }
 }
@@ -647,18 +619,6 @@ pub struct ShapeSnapshot {
     pub throughput_rps_window: f64,
     /// Modeled execution-time percentiles of this shape (picoseconds).
     pub sim_exec_ps: Percentiles,
-}
-
-/// The plan replicas currently execute under, as carried by
-/// [`MetricsSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct PlanSnapshot {
-    /// Engine parallelism (P_eng) of the live plan.
-    pub engine_parallelism: u64,
-    /// Task parallelism (P_task) of the live plan.
-    pub task_parallelism: u64,
-    /// Monotonic generation; bumps once per committed autoscale swap.
-    pub generation: u64,
 }
 
 /// Per-SLO-class slice of a [`MetricsSnapshot`]: admission, completion,
@@ -787,13 +747,12 @@ pub struct MetricsSnapshot {
     /// reuse the cached sweep and do not count).
     pub dse_runs: u64,
     /// The plan replicas currently execute under.
-    pub current_plan: PlanSnapshot,
+    pub current_plan: PlanInfo,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::PlanInfo;
     use std::time::Duration;
 
     #[test]
@@ -1144,20 +1103,17 @@ mod tests {
     #[test]
     fn plan_counters_surface_in_snapshot() {
         let m = Metrics::new();
-        m.set_current_plan(4, 6, 0);
         m.record_dse_run();
         m.record_dse_run();
         m.record_plan_swap();
-        m.set_current_plan(2, 16, 1);
         let snap = m.snapshot(0, 0);
         assert_eq!(snap.plan_swaps, 1);
         assert_eq!(snap.dse_runs, 2);
-        assert_eq!(snap.current_plan.engine_parallelism, 2);
-        assert_eq!(snap.current_plan.task_parallelism, 16);
-        assert_eq!(snap.current_plan.generation, 1);
         let json = serde_json::to_string(&snap).unwrap();
         assert!(json.contains("\"plan_swaps\":1"));
-        assert!(json.contains("\"current_plan\""));
+        assert!(json.contains(
+            "\"current_plan\":{\"engine_parallelism\":0,\"task_parallelism\":0,\"generation\":0}"
+        ));
         assert!(json.contains("\"per_shape\""));
     }
 }

@@ -1,39 +1,10 @@
-//! Bounded MPMC queue used for admission (backpressure) and dispatch.
+//! Outcomes of the bounded queues' push and pop: the admission
+//! [`crate::scheduler::ClassScheduler`] and the replicas' dispatch
+//! [`crate::scheduler::StealingDispatch`].
 
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
-use std::time::{Duration, Instant};
-
-/// A bounded multi-producer/multi-consumer FIFO with close semantics.
-///
-/// * `try_push` never blocks: it reports a full queue to the caller so
-///   admission can exert backpressure.
-/// * `push` blocks until space frees up (used on the internal dispatch
-///   path, where the producer is the batcher and must not drop work).
-/// * `pop` blocks until an item, a timeout, or close-and-drained.
-/// * After [`BoundedQueue::close`], pushes fail and pops drain whatever
-///   remains before returning `None`.
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    space: Condvar,
-    items: Condvar,
-    capacity: usize,
-}
-
-struct QueueState<T> {
-    buf: VecDeque<T>,
-    closed: bool,
-    /// Monotonic count of successful pushes; lets a consumer sleep on
-    /// the `items` condvar until the queue *grows* (see
-    /// [`BoundedQueue::wait_for_push`]) rather than poll-sleeping —
-    /// depth alone can't distinguish growth from a non-matching
-    /// leftover sitting in the buffer.
-    push_seq: u64,
-}
-
-/// Outcome of a non-blocking push.
+/// Outcome of a failed push.
 #[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
+pub(crate) enum PushError<T> {
     /// The queue was at capacity; the item is handed back.
     Full(T),
     /// The queue was closed; the item is handed back.
@@ -42,407 +13,11 @@ pub enum PushError<T> {
 
 /// Outcome of a blocking pop with timeout.
 #[derive(Debug, PartialEq, Eq)]
-pub enum PopResult<T> {
+pub(crate) enum PopResult<T> {
     /// An item was dequeued.
     Item(T),
     /// The timeout elapsed with the queue still open.
     TimedOut,
     /// The queue is closed and fully drained.
     Closed,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue bounded at `capacity` items (>= 1).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "queue capacity must be >= 1");
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                buf: VecDeque::with_capacity(capacity.min(1024)),
-                closed: false,
-                push_seq: 0,
-            }),
-            space: Condvar::new(),
-            items: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current depth (racy by nature; a gauge, not a guarantee).
-    pub fn len(&self) -> usize {
-        self.state.lock().buf.len()
-    }
-
-    /// Whether the queue is currently empty (racy; a gauge).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Non-blocking push; fails on a full or closed queue.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] or [`PushError::Closed`], returning the item.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut st = self.state.lock();
-        if st.closed {
-            return Err(PushError::Closed(item));
-        }
-        if st.buf.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        st.buf.push_back(item);
-        st.push_seq += 1;
-        drop(st);
-        self.items.notify_one();
-        Ok(())
-    }
-
-    /// Blocking push; waits for space. Fails only if the queue closes.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Closed`] with the item when the queue closed while
-    /// (or before) waiting.
-    pub fn push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut st = self.state.lock();
-        loop {
-            if st.closed {
-                return Err(PushError::Closed(item));
-            }
-            if st.buf.len() < self.capacity {
-                st.buf.push_back(item);
-                st.push_seq += 1;
-                drop(st);
-                self.items.notify_one();
-                return Ok(());
-            }
-            self.space.wait(&mut st);
-        }
-    }
-
-    /// Blocking pop with a timeout.
-    pub fn pop(&self, timeout: Duration) -> PopResult<T> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(item) = st.buf.pop_front() {
-                drop(st);
-                self.space.notify_one();
-                return PopResult::Item(item);
-            }
-            if st.closed {
-                return PopResult::Closed;
-            }
-            if self.items.wait_for(&mut st, timeout).timed_out() {
-                return if let Some(item) = st.buf.pop_front() {
-                    drop(st);
-                    self.space.notify_one();
-                    PopResult::Item(item)
-                } else if st.closed {
-                    PopResult::Closed
-                } else {
-                    PopResult::TimedOut
-                };
-            }
-        }
-    }
-
-    /// Monotonic count of successful pushes. Snapshot it *before*
-    /// sweeping the queue, then hand it to
-    /// [`BoundedQueue::wait_for_push`]: a push racing with the sweep
-    /// advances the sequence and the wait returns immediately, so no
-    /// arrival is ever slept through.
-    pub fn push_seq(&self) -> u64 {
-        self.state.lock().push_seq
-    }
-
-    /// Blocks until a push lands after the `seen` sequence snapshot,
-    /// returning `true` (the item may already have been consumed by a
-    /// racing consumer — re-sweep to find out). Returns `false` when
-    /// `deadline` passes or the queue closes with no new push: in both
-    /// cases the queue cannot have grown since `seen`, so there is
-    /// nothing new to sweep.
-    pub fn wait_for_push(&self, seen: u64, deadline: Instant) -> bool {
-        let mut st = self.state.lock();
-        loop {
-            if st.push_seq != seen {
-                return true;
-            }
-            if st.closed {
-                return false;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            if self.items.wait_for(&mut st, deadline - now).timed_out() {
-                return st.push_seq != seen;
-            }
-        }
-    }
-
-    /// Dequeues up to `max` items satisfying `pred`, preserving the
-    /// relative order of everything left behind. Non-blocking; used by
-    /// the batcher to coalesce same-shape requests.
-    ///
-    /// The scan is in place: non-matching items are never moved and
-    /// nothing is allocated, so a linger sweep over a deep mixed queue
-    /// costs reads, not a full rebuild. The scan also stops as soon as
-    /// `max` items are taken — front-of-queue matches cost O(max), not
-    /// O(depth). (The previous implementation rebuilt the buffer into
-    /// a freshly allocated `VecDeque` on *every* sweep, moving every
-    /// element each linger wake: O(depth) churn per sweep, O(depth²)
-    /// per batch under a deep queue.)
-    pub fn take_matching<F: FnMut(&T) -> bool>(&self, max: usize, mut pred: F) -> Vec<T> {
-        let mut st = self.state.lock();
-        let mut taken = Vec::new();
-        let mut i = 0;
-        while i < st.buf.len() && taken.len() < max {
-            if pred(&st.buf[i]) {
-                // `remove` shifts the shorter side toward the gap;
-                // matches clustered at the front (the common batcher
-                // case) shift nothing.
-                taken.push(st.buf.remove(i).expect("index in bounds"));
-            } else {
-                i += 1;
-            }
-        }
-        let n = taken.len();
-        drop(st);
-        for _ in 0..n {
-            self.space.notify_one();
-        }
-        taken
-    }
-
-    /// Calls `f` on every queued item, front to back, under the queue's
-    /// lock. The batcher uses it to survey (and stamp) the requests
-    /// that stay queued while their batch keys linger.
-    pub fn for_each_mut<F: FnMut(&mut T)>(&self, f: F) {
-        self.state.lock().buf.iter_mut().for_each(f);
-    }
-
-    /// Closes the queue: pushes fail from now on, pops drain the
-    /// remainder. Idempotent.
-    pub fn close(&self) {
-        let mut st = self.state.lock();
-        st.closed = true;
-        drop(st);
-        self.items.notify_all();
-        self.space.notify_all();
-    }
-
-    /// Whether [`BoundedQueue::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    const TICK: Duration = Duration::from_millis(50);
-
-    #[test]
-    fn try_push_exerts_backpressure_at_capacity() {
-        let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
-        assert_eq!(q.pop(TICK), PopResult::Item(1));
-        q.try_push(3).unwrap();
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn pop_times_out_when_empty() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(1);
-        assert_eq!(q.pop(Duration::from_millis(5)), PopResult::TimedOut);
-    }
-
-    #[test]
-    fn close_drains_then_reports_closed() {
-        let q = BoundedQueue::new(4);
-        q.try_push(1).unwrap();
-        q.close();
-        assert_eq!(q.try_push(2), Err(PushError::Closed(2)));
-        assert_eq!(q.pop(TICK), PopResult::Item(1));
-        assert_eq!(q.pop(TICK), PopResult::Closed);
-    }
-
-    #[test]
-    fn take_matching_preserves_order_of_rest() {
-        let q = BoundedQueue::new(8);
-        for v in [1, 2, 3, 4, 5, 6] {
-            q.try_push(v).unwrap();
-        }
-        let evens = q.take_matching(2, |v| v % 2 == 0);
-        assert_eq!(evens, vec![2, 4]);
-        let mut rest = Vec::new();
-        while let PopResult::Item(v) = q.pop(TICK) {
-            rest.push(v);
-        }
-        assert_eq!(rest, vec![1, 3, 5, 6]);
-    }
-
-    /// Perf regression guard for the in-place `take_matching` scan.
-    ///
-    /// The result of every sweep is identical to the old rebuild
-    /// implementation (same items, same order — see
-    /// `take_matching_preserves_order_of_rest`); what changed is the
-    /// cost: the old code allocated a fresh `VecDeque` and moved every
-    /// remaining element on *each* sweep, so draining a deep queue one
-    /// front match at a time was O(depth²) moves plus O(depth)
-    /// allocations. The in-place scan stops at `max` matches, making a
-    /// front match O(1). Draining 32k items front-first is ~5×10⁸
-    /// element moves under the old code (tens of seconds in a debug
-    /// test build) and ~32k O(1) removals here; the generous wall
-    /// bound below fails the former and clears the latter by orders of
-    /// magnitude even on a loaded CI machine.
-    #[test]
-    fn take_matching_front_match_is_constant_time() {
-        const DEPTH: usize = 32_768;
-        let q = BoundedQueue::new(DEPTH);
-        for v in 0..DEPTH as u64 {
-            q.try_push(v).unwrap();
-        }
-        let start = Instant::now();
-        let mut drained = Vec::with_capacity(DEPTH);
-        // One linger-style sweep per item, each matching at the front —
-        // the batcher's steady-state pattern on a deep same-shape queue.
-        for _ in 0..DEPTH {
-            let taken = q.take_matching(1, |_| true);
-            assert_eq!(taken.len(), 1);
-            drained.extend(taken);
-        }
-        let elapsed = start.elapsed();
-        assert!(q.is_empty());
-        assert_eq!(drained, (0..DEPTH as u64).collect::<Vec<_>>());
-        assert!(
-            elapsed < Duration::from_secs(5),
-            "take_matching drained {DEPTH} front matches in {elapsed:?}; \
-             the sweep is rebuilding the buffer instead of scanning in place"
-        );
-    }
-
-    #[test]
-    fn take_matching_respects_max_and_skips_nonmatching_prefix() {
-        // Matches behind a non-matching prefix are still found, the
-        // scan stops at `max`, and the prefix keeps its order.
-        let q = BoundedQueue::new(8);
-        for v in [1, 3, 2, 4, 6, 5] {
-            q.try_push(v).unwrap();
-        }
-        assert_eq!(q.take_matching(2, |v| v % 2 == 0), vec![2, 4]);
-        let mut rest = Vec::new();
-        while let PopResult::Item(v) = q.pop(TICK) {
-            rest.push(v);
-        }
-        assert_eq!(rest, vec![1, 3, 6, 5]);
-    }
-
-    #[test]
-    fn blocking_push_waits_for_space() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(1).unwrap();
-        let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || q2.push(2));
-        std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(q.pop(TICK), PopResult::Item(1));
-        t.join().unwrap().unwrap();
-        assert_eq!(q.pop(TICK), PopResult::Item(2));
-    }
-
-    #[test]
-    fn close_wakes_blocked_consumers() {
-        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
-        let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || q2.pop(Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(10));
-        q.close();
-        assert_eq!(t.join().unwrap(), PopResult::Closed);
-    }
-
-    #[test]
-    fn close_wakes_blocked_producer_with_item_returned() {
-        // A producer blocked on a full queue must wake on close and get
-        // its item back — not deadlock waiting for space that will never
-        // free up.
-        let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(1).unwrap();
-        let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || q2.push(2));
-        std::thread::sleep(Duration::from_millis(10));
-        q.close();
-        assert_eq!(t.join().unwrap(), Err(PushError::Closed(2)));
-        // The pre-close item still drains.
-        assert_eq!(q.pop(TICK), PopResult::Item(1));
-        assert_eq!(q.pop(TICK), PopResult::Closed);
-    }
-
-    #[test]
-    fn wait_for_push_wakes_on_new_push() {
-        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
-        let seen = q.push_seq();
-        let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            q2.try_push(7).unwrap();
-        });
-        let start = Instant::now();
-        assert!(q.wait_for_push(seen, Instant::now() + Duration::from_secs(10)));
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "woke via deadline, not push"
-        );
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn wait_for_push_false_at_deadline_without_push() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(4);
-        let seen = q.push_seq();
-        assert!(!q.wait_for_push(seen, Instant::now() + Duration::from_millis(5)));
-        // A deadline already in the past returns immediately.
-        assert!(!q.wait_for_push(seen, Instant::now() - Duration::from_millis(1)));
-    }
-
-    #[test]
-    fn wait_for_push_false_on_close_without_push() {
-        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
-        let seen = q.push_seq();
-        let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            q2.close();
-        });
-        let start = Instant::now();
-        assert!(!q.wait_for_push(seen, Instant::now() + Duration::from_secs(10)));
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "close did not wake the waiter"
-        );
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn wait_for_push_sees_push_that_raced_the_snapshot() {
-        // A push landing between the snapshot and the wait advances the
-        // sequence, so the wait returns true immediately even though the
-        // notification fired before anyone was waiting — the lost-wakeup
-        // case the sequence number exists to prevent.
-        let q: BoundedQueue<u32> = BoundedQueue::new(4);
-        let seen = q.push_seq();
-        q.try_push(1).unwrap();
-        let start = Instant::now();
-        assert!(q.wait_for_push(seen, Instant::now() + Duration::from_secs(10)));
-        assert!(start.elapsed() < Duration::from_secs(1));
-    }
 }

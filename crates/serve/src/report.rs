@@ -46,10 +46,8 @@ pub struct CacheReport {
 /// metrics snapshot, per-shape resource utilization, cache/store
 /// counters, and the global span-journal summary.
 ///
-/// Produced by [`crate::SvdService::metrics_report`] (or periodically by
-/// the in-process scraper when
-/// [`crate::ServeConfig::metrics_scrape_interval`] is set) and rendered
-/// by [`MetricsReport::to_json`] / [`MetricsReport::to_prometheus`].
+/// Produced by [`crate::SvdService::metrics_report`] and rendered by
+/// [`MetricsReport::to_json`] / [`MetricsReport::to_prometheus`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MetricsReport {
     /// Counters, gauges, and latency percentiles.
@@ -231,8 +229,11 @@ impl MetricsReport {
         );
         let _ = writeln!(out, "# TYPE hsvd_current_plan gauge");
         for (param, value) in [
-            ("engine_parallelism", s.current_plan.engine_parallelism),
-            ("task_parallelism", s.current_plan.task_parallelism),
+            (
+                "engine_parallelism",
+                s.current_plan.engine_parallelism as u64,
+            ),
+            ("task_parallelism", s.current_plan.task_parallelism as u64),
             ("generation", s.current_plan.generation),
         ] {
             let _ = writeln!(out, "hsvd_current_plan{{param=\"{param}\"}} {value}");
@@ -709,7 +710,6 @@ mod tests {
 
     fn sample_report() -> MetricsReport {
         let metrics = Metrics::new();
-        metrics.set_current_plan(8, 3, 1);
         metrics.record_plan_swap();
         metrics.record_dse_run();
         metrics.record_cancelled(RequestType::Apply);
@@ -734,7 +734,14 @@ mod tests {
             Some((64, 64)),
             SloClass::Standard,
         );
-        let snapshot = metrics.snapshot(0, 2);
+        let snapshot = MetricsSnapshot {
+            current_plan: PlanInfo {
+                engine_parallelism: 8,
+                task_parallelism: 3,
+                generation: 1,
+            },
+            ..metrics.snapshot(0, 2)
+        };
         let stats = SimStats {
             orth_invocations: 8,
             norm_invocations: 4,

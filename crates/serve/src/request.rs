@@ -5,6 +5,7 @@ use factor_store::{FactorMeta, ModelId, PublishedFactors};
 use heterosvd::factor_cache::{ClientId, FactorCacheEntry};
 use heterosvd::{HeteroSvdOutput, WarmStartCounters};
 use parking_lot::{Condvar, Mutex};
+use serde::Serialize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -66,8 +67,8 @@ impl RequestType {
     }
 }
 
-/// Service-level-objective class attached at submission. The class
-/// drives the shape-classed scheduler (see `scheduler`): it sets the
+/// Service-level-objective class attached at submission. Under
+/// shape-classed scheduling (see `scheduler`) the class sets the
 /// request's *scheduling horizon* — the effective deadline the EDF
 /// batch formation and admission eviction order on when no explicit timeout
 /// was given — and its shedding priority under overload. It never, by
@@ -169,10 +170,10 @@ pub struct SubmitOptions {
     /// wall-clock queueing and lingering; once a batch starts executing
     /// the request is carried to completion.
     pub timeout: Option<Duration>,
-    /// The request's SLO class (default [`SloClass::Standard`]).
-    /// Ignored unless the service runs with `shape_classed`
-    /// scheduling, where it orders the EDF pick and the shed/evict
-    /// policy.
+    /// The request's SLO class (default [`SloClass::Standard`]). With
+    /// `shape_classed` scheduling it sets the request's EDF order, its
+    /// linger budget and its shed/evict priority; in the default FIFO
+    /// mode it only labels the per-class metrics.
     pub class: SloClass,
 }
 
@@ -181,7 +182,7 @@ pub struct SubmitOptions {
 /// bit-identity gate) group responses by generation: every request in
 /// one generation ran wholly under one plan, and its factors match a
 /// static service pinned at that plan bit for bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct PlanInfo {
     /// Engine parallelism (P_eng) the executing accelerator used.
     pub engine_parallelism: usize,
@@ -650,6 +651,87 @@ impl PendingRequest {
             Payload::Decompose { .. } => RequestType::Decompose,
             Payload::Apply { .. } => RequestType::Apply,
             Payload::Update { .. } => RequestType::Update,
+        }
+    }
+}
+
+/// Queued-request fixtures shared by the admission and batcher tests.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use super::*;
+    use svd_kernels::TruncatedSvd;
+
+    /// A decompose request of `shape` and `class`, admitted now.
+    pub(crate) fn pending(id: u64, shape: (usize, usize), class: SloClass) -> PendingRequest {
+        PendingRequest {
+            id: RequestId(id),
+            payload: Payload::Decompose {
+                matrix: Matrix::zeros(shape.0, shape.1),
+                shape,
+                publish: None,
+            },
+            state: RequestState::new(),
+            submitted_at: Instant::now(),
+            deadline: None,
+            seen_at: None,
+            class,
+            poison: false,
+        }
+    }
+
+    /// A request admitted `age` ago: one that has already waited that
+    /// long in the queue, without the test sleeping for it.
+    pub(crate) fn aged(
+        id: u64,
+        shape: (usize, usize),
+        class: SloClass,
+        age: Duration,
+    ) -> PendingRequest {
+        let mut request = pending(id, shape, class);
+        request.submitted_at -= age;
+        request
+    }
+
+    /// Rank-2 factors of a 4×4 matrix, published as `model` `version`.
+    pub(crate) fn published(model: u64, version: u64) -> Arc<PublishedFactors> {
+        let factors = TruncatedSvd {
+            u: Matrix::zeros(4, 2),
+            sigma: vec![2.0f32, 1.0],
+            v: Matrix::zeros(4, 2),
+            tail_sigma: 0.0,
+            retained_energy: 1.0,
+        };
+        let bytes = factors.approx_bytes();
+        Arc::new(PublishedFactors {
+            model: ModelId(model),
+            version,
+            meta: FactorMeta {
+                rows: 4,
+                cols: 4,
+                rank: 2,
+                tail_sigma: 0.0,
+                retained_energy: 1.0,
+                bytes,
+            },
+            factors,
+        })
+    }
+
+    /// A Standard-class apply request against `factors`, admitted now.
+    pub(crate) fn pending_apply(id: u64, factors: Arc<PublishedFactors>) -> PendingRequest {
+        PendingRequest {
+            id: RequestId(id),
+            payload: Payload::Apply {
+                x: vec![0.0; factors.meta.cols],
+                rank: factors.meta.rank,
+                factors,
+            },
+            state: RequestState::new(),
+            submitted_at: Instant::now(),
+            deadline: None,
+            seen_at: None,
+            class: SloClass::Standard,
+            poison: false,
         }
     }
 }

@@ -1,32 +1,38 @@
-//! Shape-classed SLO scheduling: EDF sub-queues and stealing dispatch.
+//! Admission: the one structure requests wait in until their batch is
+//! cut, plus the dispatch pools and the load shedder behind it.
 //!
-//! With [`crate::ServeConfig::shape_classed`] on, admission routes into
-//! per-([`BatchKey`], [`SloClass`]) sub-queues held by a
-//! [`ClassScheduler`] instead of the shape-blind FIFO
-//! [`crate::queue::BoundedQueue`]:
+//! Every admitted request lands in a per-([`BatchKey`], [`SloClass`])
+//! sub-queue of the service's [`ClassScheduler`], sorted by
+//! [`ClassScheduler::order`]. The batcher ranks due keys by the same
+//! order and cuts each batch in it, so formation never asks which mode
+//! it serves. [`crate::ServeConfig::shape_classed`] picks the mode:
 //!
-//! * **EDF formation** — among the batch keys that are due, the batcher
-//!   forms the one holding the earliest *effective* deadline (the
-//!   explicit deadline, or submission time plus the class horizon). A
-//!   rare Interactive request therefore jumps a backlog of Batch-class
-//!   work instead of waiting out the FIFO.
-//! * **EDF admission** — a full scheduler does not blindly reject: an
-//!   incoming request that is strictly more urgent than the
-//!   latest-deadline request of an equal-or-lower-priority class evicts
-//!   it (the victim completes with [`ServeError::Overloaded`]).
-//! * **Work stealing** — formed batches land in per-sub-pool dispatch
-//!   queues ([`StealingDispatch`]); an idle replica first drains its
-//!   home pool, then steals from the most backlogged one, so a hot
-//!   class cannot strand capacity.
-//! * **Load shedding** — a [`ShedController`] watches the windowed
-//!   timeout fraction and sheds Batch (then Standard) traffic at
-//!   admission before the queue collapses.
+//! * **FIFO** (the default) — the order is the admission time. The
+//!   batcher forms the due key holding the oldest request, a batch
+//!   takes its key's requests in arrival order, and a full scheduler
+//!   refuses every push with `Full`. Classes and deadlines never reorder
+//!   anything, dispatch is one plain FIFO pool, and nothing is shed.
+//! * **Classed** — the order is the *effective* deadline (the explicit
+//!   deadline, or submission time plus the class horizon), and:
+//!   - **EDF formation**: among the due keys, the batcher forms the one
+//!     holding the earliest deadline, so a rare Interactive request
+//!     jumps a backlog of Batch-class work instead of waiting it out.
+//!   - **EDF admission**: a full scheduler evicts the latest-deadline
+//!     request of an equal-or-lower-priority class when the incoming
+//!     one is strictly more urgent (the victim completes with
+//!     [`ServeError::Overloaded`]).
+//!   - **Work stealing**: formed batches land in per-sub-pool dispatch
+//!     queues ([`StealingDispatch`]); an idle replica first drains its
+//!     home pool, then steals from the most backlogged one, so a hot
+//!     class cannot strand capacity.
+//!   - **Load shedding**: a [`ShedController`] watches the windowed
+//!     timeout fraction and sheds Batch (then Standard) traffic at
+//!     admission before the queue collapses.
 //!
-//! The scheduler only reorders *when* requests execute; per-request
-//! factors stay bit-identical to the FIFO path and to a solo
-//! accelerator run.
+//! Admission only decides *when* requests execute; per-request factors
+//! are bit-identical in both modes and to a solo accelerator run.
 
-use crate::batcher::{Admission, Batch};
+use crate::batcher::Batch;
 use crate::error::ServeError;
 use crate::metrics::Metrics;
 use crate::queue::{PopResult, PushError};
@@ -44,8 +50,9 @@ pub(crate) const SHED_BATCH: u8 = 1;
 /// Batch- and Standard-class traffic are shed at admission.
 pub(crate) const SHED_STANDARD: u8 = 2;
 
-/// One per-(key, class) sub-queue, ordered ascending by effective
-/// deadline (FIFO among ties, preserved by the insertion sort).
+/// One per-(key, class) sub-queue, never empty, ascending by
+/// [`ClassScheduler::order`] (arrival order among ties, preserved by
+/// the insertion sort).
 struct ClassQueue {
     key: BatchKey,
     class: SloClass,
@@ -53,6 +60,9 @@ struct ClassQueue {
 }
 
 struct SchedState {
+    /// Live sub-queues; one is dropped the moment it empties, so a
+    /// retired key (e.g. a republished model's old version) leaves
+    /// nothing behind for later scans.
     queues: Vec<ClassQueue>,
     /// Total requests across all sub-queues (bounded by `capacity`).
     len: usize,
@@ -62,20 +72,24 @@ struct SchedState {
     closed: bool,
 }
 
-/// The shape-classed admission structure replacing the FIFO queue.
+/// The service's bounded admission structure, FIFO or classed.
 pub(crate) struct ClassScheduler {
     state: Mutex<SchedState>,
     /// Signalled on every push and on close; the batcher's wait parks
     /// here.
     push_cv: Condvar,
     capacity: usize,
+    /// Classed (EDF order, evicting) rather than FIFO admission.
+    classed: bool,
     /// Current shed tier, written by the [`ShedController`] and read by
     /// admission ([`SHED_NONE`] / [`SHED_BATCH`] / [`SHED_STANDARD`]).
     shed_level: AtomicU8,
 }
 
 impl ClassScheduler {
-    pub(crate) fn new(capacity: usize) -> Self {
+    /// An empty scheduler bounded at `capacity` requests, classed or
+    /// FIFO.
+    pub(crate) fn new(capacity: usize, classed: bool) -> Self {
         ClassScheduler {
             state: Mutex::new(SchedState {
                 queues: Vec::new(),
@@ -85,7 +99,20 @@ impl ClassScheduler {
             }),
             push_cv: Condvar::new(),
             capacity,
+            classed,
             shed_level: AtomicU8::new(SHED_NONE),
+        }
+    }
+
+    /// The key requests are served by, earliest first: the effective
+    /// deadline in classed mode, the admission time in FIFO mode.
+    /// Sub-queues are sorted by it, a batch is cut in it, and the
+    /// batcher forms the due key holding the earliest.
+    pub(crate) fn order(&self, request: &PendingRequest) -> Instant {
+        if self.classed {
+            request.effective_deadline()
+        } else {
+            request.submitted_at
         }
     }
 
@@ -97,15 +124,14 @@ impl ClassScheduler {
         self.shed_level.store(level, Ordering::Relaxed);
     }
 
-    /// Admits `request` into its (key, class) sub-queue, sorted by
-    /// effective deadline. A full scheduler evicts the latest-deadline
-    /// request among equal-or-lower-priority classes when the incoming
-    /// request is strictly more urgent (the victim completes with
-    /// [`ServeError::Overloaded`] and is counted shed); otherwise the
-    /// push fails `Full` exactly like the FIFO queue.
-    // A rejected push hands the request back by value, same as
-    // `BoundedQueue::try_push` — the caller completes it, so the large
-    // Err variant is the point, not an accident.
+    /// Admits `request` into its (key, class) sub-queue, in
+    /// [`ClassScheduler::order`]. A full classed scheduler evicts the
+    /// latest-deadline request among equal-or-lower-priority classes
+    /// when the incoming request is strictly more urgent (the victim
+    /// completes with [`ServeError::Overloaded`] and is counted shed);
+    /// otherwise, and always in FIFO mode, a full push fails `Full`.
+    // A rejected push hands the request back by value so the caller can
+    // complete it: the large Err variant is the point, not an accident.
     #[allow(clippy::result_large_err)]
     pub(crate) fn try_push(
         &self,
@@ -116,23 +142,25 @@ impl ClassScheduler {
         if st.closed {
             return Err(PushError::Closed(request));
         }
+        let order = self.order(&request);
         if st.len >= self.capacity {
-            let incoming_deadline = request.effective_deadline();
+            // Only classed admission evicts. The candidate: across
+            // every sub-queue of equal-or-lower priority, the request
+            // with the LATEST deadline (each sub-queue's back).
             let priority = request.class.priority();
-            // The eviction candidate: across every sub-queue of
-            // equal-or-lower priority, the request with the LATEST
-            // effective deadline (each sub-queue's back, since queues
-            // are deadline-sorted).
             let victim = st
                 .queues
                 .iter()
                 .enumerate()
-                .filter(|(_, q)| q.class.priority() <= priority && !q.buf.is_empty())
-                .max_by_key(|(_, q)| q.buf.back().expect("non-empty").effective_deadline())
-                .map(|(qi, q)| (qi, q.buf.back().expect("non-empty").effective_deadline()));
+                .filter(|(_, q)| self.classed && q.class.priority() <= priority)
+                .map(|(qi, q)| (qi, self.order(q.buf.back().expect("non-empty"))))
+                .max_by_key(|&(_, latest)| latest);
             match victim {
-                Some((qi, victim_deadline)) if incoming_deadline < victim_deadline => {
+                Some((qi, latest)) if order < latest => {
                     let evicted = st.queues[qi].buf.pop_back().expect("non-empty");
+                    if st.queues[qi].buf.is_empty() {
+                        st.queues.remove(qi);
+                    }
                     st.len -= 1;
                     if evicted.state.complete(Err(ServeError::Overloaded)) {
                         metrics.record_shed(evicted.class);
@@ -143,7 +171,6 @@ impl ClassScheduler {
         }
         let key = request.batch_key();
         let class = request.class;
-        let deadline = request.effective_deadline();
         let qi = match st
             .queues
             .iter()
@@ -159,9 +186,16 @@ impl ClassScheduler {
                 st.queues.len() - 1
             }
         };
+        // Arrivals nearly always sort last (always in FIFO mode, bar
+        // racing submitters), so check the back before a binary search:
+        // its probes would read requests the batcher's survey last wrote.
         let buf = &mut st.queues[qi].buf;
-        let pos = buf.partition_point(|r| r.effective_deadline() <= deadline);
-        buf.insert(pos, request);
+        if buf.back().is_none_or(|r| self.order(r) <= order) {
+            buf.push_back(request);
+        } else {
+            let pos = buf.partition_point(|r| self.order(r) <= order);
+            buf.insert(pos, request);
+        }
         st.len += 1;
         st.push_seq += 1;
         drop(st);
@@ -170,51 +204,58 @@ impl ClassScheduler {
     }
 
     /// Removes up to `max` queued requests whose batch key is `key`,
-    /// earliest effective deadline first *across* classes — so a batch
-    /// formed for an urgent request still coalesces same-shape work from
-    /// lower-priority classes (fill amortizes Eq. 14 for everyone).
+    /// earliest [`ClassScheduler::order`] first *across* classes — so a
+    /// batch formed for an urgent request still coalesces same-key work
+    /// from lower-priority classes (fill amortizes Eq. 14 for everyone).
+    /// Each take costs a scan of the live sub-queues, never of the
+    /// queued requests.
     pub(crate) fn take_matching(&self, key: BatchKey, max: usize) -> Vec<PendingRequest> {
         let mut st = self.state.lock();
         let mut taken = Vec::new();
         while taken.len() < max {
-            let qi = st
+            let Some(qi) = st
                 .queues
                 .iter()
                 .enumerate()
-                .filter(|(_, q)| q.key == key && !q.buf.is_empty())
-                .min_by_key(|(_, q)| q.buf.front().expect("non-empty").effective_deadline())
-                .map(|(qi, _)| qi);
-            let Some(qi) = qi else { break };
+                .filter(|(_, q)| q.key == key)
+                .min_by_key(|(_, q)| self.order(q.buf.front().expect("non-empty")))
+                .map(|(qi, _)| qi)
+            else {
+                break;
+            };
             taken.push(st.queues[qi].buf.pop_front().expect("non-empty"));
+            if st.queues[qi].buf.is_empty() {
+                st.queues.remove(qi);
+            }
             st.len -= 1;
         }
         taken
     }
 
-    pub(crate) fn close(&self) {
+    /// Calls `visit` on every queued request under the scheduler's
+    /// lock. The batcher uses it to survey (and stamp) the requests
+    /// that stay queued while their batch keys linger.
+    pub(crate) fn for_each_queued<F: FnMut(&mut PendingRequest)>(&self, mut visit: F) {
         let mut st = self.state.lock();
-        st.closed = true;
-        drop(st);
-        self.push_cv.notify_all();
+        for queue in &mut st.queues {
+            queue.buf.iter_mut().for_each(&mut visit);
+        }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.state.lock().len
-    }
-}
-
-impl Admission for ClassScheduler {
-    const EDF: bool = true;
-
-    fn is_closed(&self) -> bool {
-        self.state.lock().closed
-    }
-
-    fn push_seq(&self) -> u64 {
+    /// Monotonic count of successful pushes. Snapshot it *before*
+    /// surveying, then hand it to [`ClassScheduler::wait_for_push`]: a
+    /// push racing with the survey advances the sequence and the wait
+    /// returns immediately, so no arrival is ever slept through.
+    pub(crate) fn push_seq(&self) -> u64 {
         self.state.lock().push_seq
     }
 
-    fn wait_for_push(&self, seen: u64, deadline: Instant) -> bool {
+    /// Blocks until a push lands after the `seen` sequence snapshot,
+    /// returning `true` (the request may already have been taken — the
+    /// caller re-surveys to find out). Returns `false` when `deadline`
+    /// passes or the scheduler closes with no new push: in both cases
+    /// nothing can have arrived since `seen`.
+    pub(crate) fn wait_for_push(&self, seen: u64, deadline: Instant) -> bool {
         let mut st = self.state.lock();
         loop {
             if st.push_seq != seen {
@@ -229,22 +270,29 @@ impl Admission for ClassScheduler {
         }
     }
 
-    fn for_each_queued(&self, visit: &mut dyn FnMut(&mut PendingRequest)) {
+    /// Closes admission: pushes fail from now on, and queued requests
+    /// stay to be drained by the batcher. Idempotent.
+    pub(crate) fn close(&self) {
         let mut st = self.state.lock();
-        for queue in &mut st.queues {
-            queue.buf.iter_mut().for_each(&mut *visit);
-        }
+        st.closed = true;
+        drop(st);
+        self.push_cv.notify_all();
     }
 
-    fn take_key(&self, key: BatchKey, max: usize) -> Vec<PendingRequest> {
-        self.take_matching(key, max)
+    pub(crate) fn is_closed(&self) -> bool {
+        self.state.lock().closed
+    }
+
+    /// Requests awaiting batch formation (a gauge, racy by nature).
+    pub(crate) fn len(&self) -> usize {
+        self.state.lock().len
     }
 }
 
 /// Per-sub-pool dispatch with work stealing. Batches route to a pool by
 /// their key hash; each replica drains its home pool first and steals
 /// from the most backlogged other pool when idle. With one pool (FIFO
-/// mode) this degenerates to exactly the old single dispatch queue.
+/// mode) this is a plain FIFO dispatch queue.
 pub(crate) struct StealingDispatch {
     state: Mutex<DispatchState>,
     /// Poppers (replicas) park here for new batches.
@@ -425,36 +473,12 @@ mod tests {
     use super::*;
     use crate::batcher::{self, BatchEntry, FormOutcome};
     use crate::config::ServeConfig;
-    use crate::request::{Payload, RequestId, RequestState};
+    use crate::request::fixtures::{aged, pending, pending_apply, published};
+    use proptest::prelude::*;
     use std::sync::Arc;
-    use svd_kernels::Matrix;
 
-    fn pending(id: u64, shape: (usize, usize), class: SloClass) -> PendingRequest {
-        PendingRequest {
-            id: RequestId(id),
-            payload: Payload::Decompose {
-                matrix: Matrix::zeros(shape.0, shape.1),
-                shape,
-                publish: None,
-            },
-            state: RequestState::new(),
-            submitted_at: Instant::now(),
-            deadline: None,
-            seen_at: None,
-            class,
-            poison: false,
-        }
-    }
-
-    /// A request admitted `age` ago, without the test sleeping for it.
-    fn aged(id: u64, shape: (usize, usize), class: SloClass, age: Duration) -> PendingRequest {
-        let mut request = pending(id, shape, class);
-        request.submitted_at -= age;
-        request
-    }
-
-    /// One classed formation call: every (key, class) gets a cap of 4
-    /// and a 1 s linger.
+    /// One formation call: every (key, class) gets a cap of 4 and a
+    /// 1 s linger.
     fn form(sched: &ClassScheduler, metrics: &Metrics) -> FormOutcome {
         let config = ServeConfig {
             max_linger: Duration::from_secs(1),
@@ -495,15 +519,23 @@ mod tests {
         }
     }
 
+    fn popped_id(out: PopResult<Batch>) -> u64 {
+        match out {
+            PopResult::Item(batch) => batch.entries[0].request.id.0,
+            PopResult::TimedOut => panic!("expected a batch, got TimedOut"),
+            PopResult::Closed => panic!("expected a batch, got Closed"),
+        }
+    }
+
     #[test]
     fn seed_pick_is_edf_across_classes_and_shapes() {
-        let sched = ClassScheduler::new(16);
+        let sched = ClassScheduler::new(16, true);
         let metrics = Metrics::new();
         // Ten Batch-class requests of the dominant shape queue first;
         // an Interactive request of a rarer shape lands last. Both keys
         // are due, and the Interactive class horizon (100 ms) orders it
         // far ahead of the 10 s Batch horizon, so EDF forms it first —
-        // the FIFO would have served the dominant backlog first.
+        // FIFO mode would have served the dominant backlog first.
         let waited = Duration::from_secs(2);
         for id in 0..10 {
             sched
@@ -519,7 +551,7 @@ mod tests {
 
     #[test]
     fn explicit_deadlines_order_within_a_class() {
-        let sched = ClassScheduler::new(16);
+        let sched = ClassScheduler::new(16, true);
         let metrics = Metrics::new();
         let now = Instant::now();
         for (id, secs) in [(1, 5), (2, 1), (3, 3)] {
@@ -544,8 +576,62 @@ mod tests {
     }
 
     #[test]
+    fn fifo_mode_ignores_deadlines_classes_and_eviction() {
+        // With shape_classed off, neither explicit deadlines nor classes
+        // reorder anything: a batch is cut in admission order.
+        let sched = ClassScheduler::new(4, false);
+        let metrics = Metrics::new();
+        let now = Instant::now();
+        let arrivals = [
+            (1, 5, SloClass::Batch),
+            (2, 1, SloClass::Interactive),
+            (3, 3, SloClass::Standard),
+            (4, 2, SloClass::Interactive),
+        ];
+        for (id, secs, class) in arrivals {
+            // Admitted in id order, each deadline `secs` out.
+            let mut request = aged(id, (8, 8), class, Duration::from_millis(10 - id));
+            request.deadline = Some(now + Duration::from_secs(secs));
+            sched.try_push(request, &metrics).unwrap();
+        }
+        // Full: an Interactive request with an earlier deadline than
+        // every queued one is refused, not admitted by eviction — not
+        // even of the Batch-class request.
+        let err = sched
+            .try_push(pending_at(5, (8, 8), SloClass::Interactive, now), &metrics)
+            .unwrap_err();
+        assert!(matches!(err, PushError::Full(_)));
+        assert_eq!(sched.len(), 4);
+        assert_eq!(metrics.snapshot(0, 0).shed, 0);
+        sched.close();
+        assert_eq!(formed_ids(form(&sched, &metrics)), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn fifo_mode_forms_the_key_holding_the_oldest_request() {
+        // The Interactive (8,8) request would win EDF, but FIFO mode
+        // forms the due key whose request was admitted first.
+        let sched = ClassScheduler::new(16, false);
+        let metrics = Metrics::new();
+        sched
+            .try_push(
+                aged(1, (32, 32), SloClass::Batch, Duration::from_secs(3)),
+                &metrics,
+            )
+            .unwrap();
+        sched
+            .try_push(
+                aged(2, (8, 8), SloClass::Interactive, Duration::from_secs(2)),
+                &metrics,
+            )
+            .unwrap();
+        assert_eq!(formed_ids(form(&sched, &metrics)), vec![1]);
+        assert_eq!(formed_ids(form(&sched, &metrics)), vec![2]);
+    }
+
+    #[test]
     fn full_scheduler_evicts_the_latest_lower_priority_deadline() {
-        let sched = ClassScheduler::new(2);
+        let sched = ClassScheduler::new(2, true);
         let metrics = Metrics::new();
         let victim = pending(1, (32, 32), SloClass::Batch);
         let victim_state = Arc::clone(&victim.state);
@@ -560,6 +646,11 @@ mod tests {
             .try_push(pending(3, (8, 8), SloClass::Interactive), &metrics)
             .unwrap();
         assert_eq!(sched.len(), 2);
+        assert_eq!(
+            sched.state.lock().queues.len(),
+            2,
+            "the victim's emptied sub-queue is dropped"
+        );
         assert!(
             !victim_state.complete(Err(ServeError::Cancelled)),
             "victim already completed (with Overloaded)"
@@ -575,13 +666,13 @@ mod tests {
 
     #[test]
     fn eviction_never_preempts_a_higher_priority_class() {
-        let sched = ClassScheduler::new(1);
+        let sched = ClassScheduler::new(1, true);
         let metrics = Metrics::new();
         sched
             .try_push(pending(1, (8, 8), SloClass::Interactive), &metrics)
             .unwrap();
         // A Batch-class request cannot evict Interactive work no matter
-        // the deadlines: the push fails Full, exactly like the FIFO.
+        // the deadlines: the push fails Full, exactly like FIFO mode.
         let err = sched
             .try_push(pending(2, (32, 32), SloClass::Batch), &metrics)
             .unwrap_err();
@@ -604,7 +695,7 @@ mod tests {
 
     #[test]
     fn take_matching_crosses_classes_but_not_keys() {
-        let sched = ClassScheduler::new(16);
+        let sched = ClassScheduler::new(16, true);
         let metrics = Metrics::new();
         sched
             .try_push(pending(1, (8, 8), SloClass::Batch), &metrics)
@@ -623,9 +714,191 @@ mod tests {
         assert_eq!(sched.len(), 1);
     }
 
+    /// Regression test: draining a sub-queue used to leave it behind in
+    /// `queues` for good. Apply keys carry the factor version, so every
+    /// republish leaked one sub-queue that each push, take and batcher
+    /// survey scanned from then on.
+    #[test]
+    fn drained_sub_queues_are_dropped_in_both_modes() {
+        for classed in [false, true] {
+            let sched = ClassScheduler::new(8, classed);
+            let metrics = Metrics::new();
+            for version in 1..=50 {
+                sched
+                    .try_push(pending_apply(version, published(7, version)), &metrics)
+                    .unwrap();
+                let key = BatchKey::Apply { model: 7, version };
+                assert_eq!(sched.take_matching(key, 8).len(), 1);
+            }
+            assert_eq!(sched.len(), 0);
+            assert_eq!(
+                sched.state.lock().queues.len(),
+                0,
+                "classed={classed}: drained sub-queues leaked"
+            );
+        }
+    }
+
+    /// Perf guard for FIFO-mode cuts: one sweep per queued request, each
+    /// matching at the front (the batcher's steady state on a deep
+    /// single-key backlog), must cost O(1) per take. A take that
+    /// rebuilt or rescanned the backlog would make this drain
+    /// O(depth²) — ~5×10⁸ element moves, tens of seconds in a debug
+    /// build — while the sub-queue pop clears the wall bound by orders
+    /// of magnitude even on a loaded CI machine.
+    #[test]
+    fn take_matching_front_match_is_constant_time() {
+        const DEPTH: usize = 32_768;
+        let sched = ClassScheduler::new(DEPTH, false);
+        let metrics = Metrics::new();
+        let base = Instant::now();
+        for id in 0..DEPTH as u64 {
+            let mut request = pending(id, (4, 4), SloClass::Standard);
+            request.submitted_at = base + Duration::from_nanos(id);
+            sched.try_push(request, &metrics).unwrap();
+        }
+        let key = BatchKey::Decompose { rows: 4, cols: 4 };
+        let start = Instant::now();
+        let mut drained = Vec::with_capacity(DEPTH);
+        for _ in 0..DEPTH {
+            let taken = sched.take_matching(key, 1);
+            assert_eq!(taken.len(), 1);
+            drained.extend(taken.iter().map(|r| r.id.0));
+        }
+        let elapsed = start.elapsed();
+        assert_eq!(sched.len(), 0);
+        assert_eq!(drained, (0..DEPTH as u64).collect::<Vec<_>>());
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "take_matching drained {DEPTH} front matches in {elapsed:?}; \
+             each take is scanning the backlog instead of popping a sub-queue"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// FIFO mode against a model `VecDeque` under random pushes (of
+        /// mixed keys and classes) and cuts: depth never exceeds the
+        /// bound, a push fails `Full` exactly at capacity, and each cut
+        /// takes its key's requests in admission order.
+        #[test]
+        fn fifo_mode_matches_a_model_queue(
+            capacity in 1usize..9,
+            ops in prop::collection::vec((0u8..3, 0usize..3, 0usize..3, 1usize..4), 1..64),
+        ) {
+            const SHAPES: [(usize, usize); 3] = [(4, 4), (8, 8), (12, 8)];
+            let sched = ClassScheduler::new(capacity, false);
+            let metrics = Metrics::new();
+            let base = Instant::now();
+            let mut model: VecDeque<(u64, BatchKey)> = VecDeque::new();
+            for (id, (op, shape, class, max)) in ops.into_iter().enumerate() {
+                let (rows, cols) = SHAPES[shape];
+                let key = BatchKey::Decompose { rows, cols };
+                if op < 2 {
+                    let id = id as u64;
+                    let mut request = pending(id, (rows, cols), SloClass::ALL[class]);
+                    // Admission order is admission-time order.
+                    request.submitted_at = base + Duration::from_micros(id);
+                    match sched.try_push(request, &metrics) {
+                        Ok(()) => {
+                            prop_assert!(model.len() < capacity);
+                            model.push_back((id, key));
+                        }
+                        Err(PushError::Full(r)) => {
+                            prop_assert_eq!(r.id.0, id);
+                            prop_assert_eq!(model.len(), capacity);
+                        }
+                        Err(PushError::Closed(_)) => prop_assert!(false, "never closed"),
+                    }
+                } else {
+                    let taken: Vec<u64> =
+                        sched.take_matching(key, max).iter().map(|r| r.id.0).collect();
+                    let mut expected = Vec::new();
+                    model.retain(|&(id, k)| {
+                        let take = k == key && expected.len() < max;
+                        if take {
+                            expected.push(id);
+                        }
+                        !take
+                    });
+                    prop_assert_eq!(taken, expected);
+                }
+                prop_assert_eq!(sched.len(), model.len());
+                prop_assert!(sched.len() <= capacity, "depth exceeded the bound");
+            }
+        }
+    }
+
+    // The sleeps in the blocking tests below only make the blocked path
+    // likely; every interleaving satisfies their assertions.
+
+    #[test]
+    fn wait_for_push_wakes_on_new_push() {
+        let sched = Arc::new(ClassScheduler::new(4, false));
+        let seen = sched.push_seq();
+        let pusher = Arc::clone(&sched);
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            pusher
+                .try_push(pending(1, (8, 8), SloClass::Standard), &Metrics::new())
+                .unwrap();
+        });
+        let start = Instant::now();
+        assert!(sched.wait_for_push(seen, Instant::now() + Duration::from_secs(10)));
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "woke via deadline, not push"
+        );
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn wait_for_push_false_at_deadline_without_push() {
+        let sched = ClassScheduler::new(4, false);
+        let seen = sched.push_seq();
+        assert!(!sched.wait_for_push(seen, Instant::now() + Duration::from_millis(5)));
+        // A deadline already in the past returns immediately.
+        assert!(!sched.wait_for_push(seen, Instant::now() - Duration::from_millis(1)));
+    }
+
+    #[test]
+    fn wait_for_push_false_on_close_without_push() {
+        let sched = Arc::new(ClassScheduler::new(4, false));
+        let seen = sched.push_seq();
+        let closer = Arc::clone(&sched);
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            closer.close();
+        });
+        let start = Instant::now();
+        assert!(!sched.wait_for_push(seen, Instant::now() + Duration::from_secs(10)));
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "close did not wake the waiter"
+        );
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn wait_for_push_sees_push_that_raced_the_snapshot() {
+        // A push landing between the snapshot and the wait advances the
+        // sequence, so the wait returns true immediately even though the
+        // notification fired before anyone was waiting — the lost-wakeup
+        // case the sequence number exists to prevent.
+        let sched = ClassScheduler::new(4, false);
+        let seen = sched.push_seq();
+        sched
+            .try_push(pending(1, (8, 8), SloClass::Standard), &Metrics::new())
+            .unwrap();
+        let start = Instant::now();
+        assert!(sched.wait_for_push(seen, Instant::now() + Duration::from_secs(10)));
+        assert!(start.elapsed() < Duration::from_secs(1));
+    }
+
     #[test]
     fn closed_scheduler_reports_drained() {
-        let sched = ClassScheduler::new(4);
+        let sched = ClassScheduler::new(4, true);
         let metrics = Metrics::new();
         sched
             .try_push(pending(1, (8, 8), SloClass::Standard), &metrics)
@@ -652,15 +925,16 @@ mod tests {
         assert!(dispatch.push(batch_of(1, (8, 8))).is_ok());
         assert!(dispatch.push(batch_of(2, (8, 8))).is_ok());
         let other = 1 - pool;
-        match dispatch.pop(other, Duration::from_millis(10), &metrics) {
-            PopResult::Item(b) => assert_eq!(b.entries[0].request.id, RequestId(1)),
-            _ => panic!("expected a stolen batch"),
-        }
+        assert_eq!(
+            popped_id(dispatch.pop(other, Duration::from_millis(10), &metrics)),
+            1,
+            "expected a stolen batch"
+        );
         assert_eq!(metrics.batches_stolen.load(Ordering::Relaxed), 1);
-        match dispatch.pop(pool, Duration::from_millis(10), &metrics) {
-            PopResult::Item(b) => assert_eq!(b.entries[0].request.id, RequestId(2)),
-            _ => panic!("expected a home-pool batch"),
-        }
+        assert_eq!(
+            popped_id(dispatch.pop(pool, Duration::from_millis(10), &metrics)),
+            2
+        );
         assert_eq!(
             metrics.batches_stolen.load(Ordering::Relaxed),
             1,
@@ -680,18 +954,90 @@ mod tests {
         assert!(dispatch.push(batch_of(1, (8, 8))).is_ok());
         assert!(dispatch.push(batch_of(2, (16, 16))).is_ok());
         for expect in [1u64, 2] {
-            match dispatch.pop(7, Duration::from_millis(10), &metrics) {
-                PopResult::Item(b) => assert_eq!(b.entries[0].request.id, RequestId(expect)),
-                _ => panic!("expected a batch"),
-            }
+            assert_eq!(
+                popped_id(dispatch.pop(7, Duration::from_millis(10), &metrics)),
+                expect
+            );
         }
         assert_eq!(metrics.batches_stolen.load(Ordering::Relaxed), 0);
     }
 
     #[test]
+    fn dispatch_pop_times_out_when_empty() {
+        let dispatch = StealingDispatch::new(2, 4);
+        assert!(matches!(
+            dispatch.pop(0, Duration::from_millis(5), &Metrics::new()),
+            PopResult::TimedOut
+        ));
+    }
+
+    #[test]
+    fn dispatch_push_waits_for_space() {
+        let metrics = Metrics::new();
+        let dispatch = Arc::new(StealingDispatch::new(1, 1));
+        assert!(dispatch.push(batch_of(1, (8, 8))).is_ok());
+        let pusher = Arc::clone(&dispatch);
+        let t = std::thread::spawn(move || pusher.push(batch_of(2, (8, 8))).is_ok());
+        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(
+            popped_id(dispatch.pop(0, Duration::from_secs(5), &metrics)),
+            1
+        );
+        assert!(t.join().unwrap(), "the blocked push lands once space frees");
+        assert_eq!(
+            popped_id(dispatch.pop(0, Duration::from_secs(5), &metrics)),
+            2
+        );
+    }
+
+    #[test]
+    fn dispatch_close_wakes_a_blocked_consumer() {
+        let dispatch = Arc::new(StealingDispatch::new(2, 4));
+        let popper = Arc::clone(&dispatch);
+        let t = std::thread::spawn(move || {
+            matches!(
+                popper.pop(0, Duration::from_secs(10), &Metrics::new()),
+                PopResult::Closed
+            )
+        });
+        std::thread::sleep(Duration::from_millis(10));
+        let start = Instant::now();
+        dispatch.close();
+        assert!(t.join().unwrap(), "the blocked pop reports Closed");
+        assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn dispatch_close_hands_a_blocked_producer_its_batch_back() {
+        // A batcher blocked on full dispatch must wake on close and get
+        // its batch back — not deadlock waiting for space that never
+        // frees up.
+        let metrics = Metrics::new();
+        let dispatch = Arc::new(StealingDispatch::new(1, 1));
+        assert!(dispatch.push(batch_of(1, (8, 8))).is_ok());
+        let pusher = Arc::clone(&dispatch);
+        let t = std::thread::spawn(move || match pusher.push(batch_of(2, (8, 8))) {
+            Err(PushError::Closed(batch)) => batch.entries[0].request.id.0,
+            _ => panic!("expected the batch back with Closed"),
+        });
+        std::thread::sleep(Duration::from_millis(10));
+        dispatch.close();
+        assert_eq!(t.join().unwrap(), 2);
+        // The pre-close batch still drains.
+        assert_eq!(
+            popped_id(dispatch.pop(0, Duration::from_millis(5), &metrics)),
+            1
+        );
+        assert!(matches!(
+            dispatch.pop(0, Duration::from_millis(5), &metrics),
+            PopResult::Closed
+        ));
+    }
+
+    #[test]
     fn shed_controller_escalates_and_decays_with_the_timeout_fraction() {
         let metrics = Metrics::new();
-        let sched = ClassScheduler::new(4);
+        let sched = ClassScheduler::new(4, true);
         let mut shed = ShedController::new(0.3, Duration::ZERO);
         // Window 1: 1 timeout / 9 completions = 10% < threshold.
         metrics.completed_ok.store(9, Ordering::Relaxed);
@@ -723,7 +1069,7 @@ mod tests {
 
     #[test]
     fn classed_formation_picks_urgent_and_sweeps_same_key() {
-        let sched = ClassScheduler::new(16);
+        let sched = ClassScheduler::new(16, true);
         let metrics = Metrics::new();
         let waited = Duration::from_secs(2);
         for id in 0..3 {
@@ -746,7 +1092,7 @@ mod tests {
         // EDF orders only the keys that are due: a fresh Interactive
         // request lingering on its own clock does not hold back a
         // Batch-class key that has reached its cap, and stays queued.
-        let sched = ClassScheduler::new(16);
+        let sched = ClassScheduler::new(16, true);
         let metrics = Metrics::new();
         sched
             .try_push(pending(9, (8, 8), SloClass::Interactive), &metrics)
@@ -765,7 +1111,7 @@ mod tests {
         // One due request makes its key due for every class queued
         // under it: the cut takes the young Interactive and Standard
         // peers with it, earliest effective deadline first.
-        let sched = ClassScheduler::new(16);
+        let sched = ClassScheduler::new(16, true);
         let metrics = Metrics::new();
         sched
             .try_push(
@@ -787,7 +1133,7 @@ mod tests {
     fn lingering_requests_stay_in_the_scheduler() {
         // Nothing is due under a 1 s linger: the call returns Idle with
         // every request still queued and counted.
-        let sched = ClassScheduler::new(16);
+        let sched = ClassScheduler::new(16, true);
         let metrics = Metrics::new();
         for id in 0..3 {
             sched

@@ -4,7 +4,7 @@ use crate::batcher::{self, Batch, FormOutcome};
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::queue::{BoundedQueue, PopResult, PushError};
+use crate::queue::{PopResult, PushError};
 use crate::report::{CacheReport, MetricsReport, ShapeUtilization};
 use crate::request::{
     ApplyHandle, BatchKey, Completion, LatencyRecord, Payload, PendingRequest, PlanInfo,
@@ -35,7 +35,7 @@ use svd_kernels::Matrix;
 
 /// A batch-serving SVD service.
 ///
-/// Requests enter through a bounded admission queue ([`SvdService::try_submit`]
+/// Requests enter through a bounded admission scheduler ([`SvdService::try_submit`]
 /// exerts backpressure with [`ServeError::QueueFull`]), a batcher thread
 /// coalesces compatible requests into batches, and a pool of accelerator
 /// replicas executes each batch via [`Accelerator::run_many`], charging
@@ -58,32 +58,15 @@ use svd_kernels::Matrix;
 pub struct SvdService {
     inner: Arc<Inner>,
     batcher: Mutex<Option<JoinHandle<()>>>,
-    scraper: Mutex<Option<JoinHandle<()>>>,
     autoscaler: Mutex<Option<JoinHandle<()>>>,
     shutdown_done: AtomicBool,
 }
 
-/// The `(P_eng, P_task)` plan replicas execute under. Starts at the
-/// configured knobs; the autoscale controller swaps it between batches.
-/// Replicas read it exactly once per batch, so every batch executes
-/// wholly under one plan generation (drain-and-replace: an in-flight
-/// batch finishes on the plan it started under).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LivePlan {
-    pub(crate) engine_parallelism: usize,
-    pub(crate) task_parallelism: usize,
-    /// Bumps once per committed swap; replicas drop their cached
-    /// accelerators when it changes.
-    pub(crate) generation: u64,
-}
-
 pub(crate) struct Inner {
     pub(crate) config: ServeConfig,
-    /// FIFO admission, used when [`ServeConfig::shape_classed`] is off.
-    admission: BoundedQueue<PendingRequest>,
-    /// Shape-classed EDF admission, present (and used instead of
-    /// `admission`) when [`ServeConfig::shape_classed`] is on.
-    scheduler: Option<ClassScheduler>,
+    /// Admitted requests awaiting batch formation: FIFO, or classed
+    /// EDF with [`ServeConfig::shape_classed`] on.
+    admission: ClassScheduler,
     /// Formed batches en route to replicas. In FIFO mode a single pool
     /// (plain FIFO); in shape-classed mode one sub-pool per worker with
     /// work stealing, so an idle replica serves a backlogged class.
@@ -108,34 +91,39 @@ pub(crate) struct Inner {
     /// Per-shape resource utilization, merged across every batch each
     /// replica completes (empty with observability off).
     utilization: Mutex<HashMap<(usize, usize), UtilizationReport>>,
-    /// Latest capture taken by the scraper thread (None until the first
-    /// interval elapses, or when no scraper is configured).
-    latest_scrape: Mutex<Option<MetricsReport>>,
-    /// Scraper parking spot: `scraper_stop` flips on shutdown and
-    /// `scraper_cv` wakes the thread so it exits without waiting out its
-    /// interval.
-    scraper_stop: Mutex<bool>,
-    scraper_cv: Condvar,
-    /// The plan replicas execute under; swapped by the autoscale
-    /// controller, read once per batch by each replica.
-    pub(crate) live_plan: Mutex<LivePlan>,
-    /// Autoscaler parking spot (same stop/condvar protocol as the
-    /// scraper's).
+    /// The `(P_eng, P_task)` plan replicas execute under. Starts at the
+    /// configured knobs at generation 0; the autoscale controller swaps
+    /// it between batches. Replicas read it exactly once per batch, so
+    /// every batch executes wholly under one plan generation
+    /// (drain-and-replace: an in-flight batch finishes on the plan it
+    /// started under).
+    pub(crate) live_plan: Mutex<PlanInfo>,
+    /// Autoscaler parking spot: `autoscale_stop` flips on shutdown and
+    /// `autoscale_cv` wakes the thread so it exits without waiting out
+    /// its interval.
     pub(crate) autoscale_stop: Mutex<bool>,
     pub(crate) autoscale_cv: Condvar,
 }
 
 impl Inner {
-    /// Requests awaiting batch formation, whichever admission structure
-    /// is live (the FIFO queue in shape-blind mode, the class scheduler
-    /// otherwise).
-    fn queue_depth(&self) -> usize {
-        self.admission.len() + self.scheduler.as_ref().map_or(0, ClassScheduler::len)
+    /// The metrics snapshot with the live gauges: queue depth, live
+    /// replicas and the current plan.
+    fn snapshot(&self) -> MetricsSnapshot {
+        let current_plan = *self.live_plan.lock();
+        MetricsSnapshot {
+            current_plan,
+            ..self.metrics.snapshot(
+                self.admission.len(),
+                self.replicas_live.load(Ordering::SeqCst),
+            )
+        }
     }
 
     /// Per-(key, class) batch-formation budget: how large the key's
     /// batch may grow and how long a request of the class may wait for
-    /// batch-mates, counted from its admission.
+    /// batch-mates, counted from its admission. FIFO admission gives
+    /// every key and class the configured `(max_batch, max_linger)`;
+    /// classed admission adjusts it:
     ///
     /// * Interactive requests linger a quarter of the configured budget —
     ///   their SLO buys latency with fill, Eq. 14 be damned.
@@ -147,6 +135,9 @@ impl Inner {
     fn class_policy(&self, key: BatchKey, class: SloClass) -> (usize, std::time::Duration) {
         let mut max_batch = self.config.max_batch;
         let mut linger = self.config.max_linger;
+        if !self.config.shape_classed {
+            return (max_batch, linger);
+        }
         if class == SloClass::Interactive {
             linger /= 4;
         }
@@ -172,10 +163,7 @@ impl Inner {
     /// per-shape utilization + cache/store counters + global
     /// span-journal summary.
     fn metrics_report(&self) -> MetricsReport {
-        let snapshot = self.metrics.snapshot(
-            self.queue_depth(),
-            self.replicas_live.load(Ordering::SeqCst),
-        );
+        let snapshot = self.snapshot();
         let mut utilization: Vec<ShapeUtilization> = self
             .utilization
             .lock()
@@ -201,23 +189,6 @@ impl Inner {
     }
 }
 
-/// Scraper thread: captures a [`MetricsReport`] every `interval` until
-/// shutdown flips `scraper_stop`.
-fn scraper_main(inner: Arc<Inner>, interval: std::time::Duration) {
-    let mut stop = inner.scraper_stop.lock();
-    loop {
-        if *stop {
-            return;
-        }
-        if inner.scraper_cv.wait_for(&mut stop, interval).timed_out() {
-            drop(stop);
-            let report = inner.metrics_report();
-            *inner.latest_scrape.lock() = Some(report);
-            stop = inner.scraper_stop.lock();
-        }
-    }
-}
-
 impl SvdService {
     /// Validates `config`, spawns the batcher and the replica pool, and
     /// starts serving.
@@ -237,19 +208,16 @@ impl SvdService {
                 .map_err(ServeError::from)?,
         )
         .map_err(ServeError::from)?;
-        // Shape-classed mode: one dispatch sub-pool per worker (work
-        // stealing keeps them balanced); FIFO mode keeps the single
-        // queue. The global capacity bound is identical either way.
+        // Classed mode: one dispatch sub-pool per worker (work stealing
+        // keeps them balanced); FIFO mode keeps a single pool. The
+        // global capacity bound is identical either way.
         let pools = if config.shape_classed {
             config.workers.max(1)
         } else {
             1
         };
         let inner = Arc::new(Inner {
-            admission: BoundedQueue::new(config.queue_capacity),
-            scheduler: config
-                .shape_classed
-                .then(|| ClassScheduler::new(config.queue_capacity)),
+            admission: ClassScheduler::new(config.queue_capacity, config.shape_classed),
             dispatch: StealingDispatch::new(pools, config.workers.max(1) * 2),
             metrics: Metrics::new(),
             next_id: AtomicU64::new(0),
@@ -260,10 +228,7 @@ impl SvdService {
             factor_cache: FactorCache::new(config.factor_cache_bytes),
             apply_model,
             utilization: Mutex::new(HashMap::new()),
-            latest_scrape: Mutex::new(None),
-            scraper_stop: Mutex::new(false),
-            scraper_cv: Condvar::new(),
-            live_plan: Mutex::new(LivePlan {
+            live_plan: Mutex::new(PlanInfo {
                 engine_parallelism: config.engine_parallelism,
                 task_parallelism: config.task_parallelism,
                 generation: 0,
@@ -272,11 +237,6 @@ impl SvdService {
             autoscale_cv: Condvar::new(),
             config,
         });
-        inner.metrics.set_current_plan(
-            inner.config.engine_parallelism,
-            inner.config.task_parallelism,
-            0,
-        );
         for _ in 0..inner.config.workers {
             spawn_replica(&inner);
         }
@@ -285,13 +245,6 @@ impl SvdService {
             .name("svd-batcher".into())
             .spawn(move || batcher_main(batcher_inner))
             .expect("failed to spawn batcher thread");
-        let scraper = inner.config.metrics_scrape_interval.map(|interval| {
-            let scraper_inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("svd-metrics-scraper".into())
-                .spawn(move || scraper_main(scraper_inner, interval))
-                .expect("failed to spawn scraper thread")
-        });
         let autoscaler = inner.config.autoscale.then(|| {
             let controller_inner = Arc::clone(&inner);
             std::thread::Builder::new()
@@ -302,7 +255,6 @@ impl SvdService {
         Ok(SvdService {
             inner,
             batcher: Mutex::new(Some(batcher)),
-            scraper: Mutex::new(scraper),
             autoscaler: Mutex::new(autoscaler),
             shutdown_done: AtomicBool::new(false),
         })
@@ -591,7 +543,7 @@ impl SvdService {
     }
 
     /// Common admission tail: assigns an id, stamps the deadline, and
-    /// pushes onto the bounded queue.
+    /// pushes into the bounded admission scheduler.
     fn admit(
         &self,
         payload: Payload,
@@ -606,20 +558,19 @@ impl SvdService {
         };
         let submitted_at = Instant::now();
         let timeout = options.timeout.or(inner.config.default_timeout);
-        // Load shedding: past the controller's tier, Batch (then also
+        // Load shedding (classed mode only; the FIFO tier never
+        // rises): past the controller's tier, Batch (then also
         // Standard) traffic is refused at the door with a retryable
         // error rather than queued into certain timeout.
-        if let Some(sched) = &inner.scheduler {
-            let level = sched.shed_level();
-            let shed = match options.class {
-                SloClass::Batch => level >= SHED_BATCH,
-                SloClass::Standard => level >= SHED_STANDARD,
-                SloClass::Interactive => false,
-            };
-            if shed {
-                inner.metrics.record_shed(options.class);
-                return Err(ServeError::Overloaded);
-            }
+        let level = inner.admission.shed_level();
+        let shed = match options.class {
+            SloClass::Batch => level >= SHED_BATCH,
+            SloClass::Standard => level >= SHED_STANDARD,
+            SloClass::Interactive => false,
+        };
+        if shed {
+            inner.metrics.record_shed(options.class);
+            return Err(ServeError::Overloaded);
         }
         let id = RequestId(inner.next_id.fetch_add(1, Ordering::Relaxed));
         let state = RequestState::new();
@@ -633,11 +584,7 @@ impl SvdService {
             class: options.class,
             poison,
         };
-        let pushed = match &inner.scheduler {
-            Some(sched) => sched.try_push(request, &inner.metrics),
-            None => inner.admission.try_push(request),
-        };
-        match pushed {
+        match inner.admission.try_push(request, &inner.metrics) {
             Ok(()) => {
                 inner.metrics.record_submitted(rtype, options.class);
                 if inner.config.observability {
@@ -670,10 +617,7 @@ impl SvdService {
     /// A point-in-time view of the service's counters and latency
     /// percentiles.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics.snapshot(
-            self.inner.queue_depth(),
-            self.inner.replicas_live.load(Ordering::SeqCst),
-        )
+        self.inner.snapshot()
     }
 
     /// The configuration the service was started with.
@@ -686,12 +630,7 @@ impl SvdService {
     /// `(engine_parallelism, task_parallelism)` at generation 0 forever;
     /// with it on, the controller advances it on every committed swap.
     pub fn current_plan(&self) -> PlanInfo {
-        let plan = *self.inner.live_plan.lock();
-        PlanInfo {
-            engine_parallelism: plan.engine_parallelism,
-            task_parallelism: plan.task_parallelism,
-            generation: plan.generation,
-        }
+        *self.inner.live_plan.lock()
     }
 
     /// One exportable observability capture: the metrics snapshot,
@@ -703,13 +642,6 @@ impl SvdService {
         self.inner.metrics_report()
     }
 
-    /// The most recent capture taken by the in-process scraper, or
-    /// `None` when no scrape has happened yet (including when
-    /// [`ServeConfig::metrics_scrape_interval`] is unset).
-    pub fn latest_scrape(&self) -> Option<MetricsReport> {
-        self.inner.latest_scrape.lock().clone()
-    }
-
     /// Stops admitting, drains every queued request to a terminal state,
     /// and joins the batcher and all replicas. Idempotent; also run on
     /// drop.
@@ -719,17 +651,9 @@ impl SvdService {
         }
         self.inner.shutting_down.store(true, Ordering::SeqCst);
         self.inner.admission.close();
-        if let Some(sched) = &self.inner.scheduler {
-            sched.close();
-        }
         *self.inner.autoscale_stop.lock() = true;
         self.inner.autoscale_cv.notify_all();
         if let Some(handle) = self.autoscaler.lock().take() {
-            let _ = handle.join();
-        }
-        *self.inner.scraper_stop.lock() = true;
-        self.inner.scraper_cv.notify_all();
-        if let Some(handle) = self.scraper.lock().take() {
             let _ = handle.join();
         }
         if let Some(handle) = self.batcher.lock().take() {
@@ -762,27 +686,21 @@ impl Drop for SvdService {
 /// Batcher thread: forms batches until admission is closed and drained,
 /// then closes the dispatch queue so replicas retire.
 fn batcher_main(inner: Arc<Inner>) {
-    // The batcher thread is the single writer of the shed level, so the
-    // controller's state lives on its stack.
-    let mut shed = ShedController::new(
-        inner.config.shed_threshold,
-        std::time::Duration::from_millis(100),
-    );
+    // Only classed admission sheds. The batcher thread is the single
+    // writer of the shed level, so the controller's state lives on its
+    // stack.
+    let mut shed = inner.config.shape_classed.then(|| {
+        ShedController::new(
+            inner.config.shed_threshold,
+            std::time::Duration::from_millis(100),
+        )
+    });
+    let policy = |key, class| inner.class_policy(key, class);
     loop {
-        let outcome = match &inner.scheduler {
-            Some(sched) => {
-                shed.update(&inner.metrics, sched);
-                batcher::form_batch(sched, &inner.config, &inner.metrics, &|key, class| {
-                    inner.class_policy(key, class)
-                })
-            }
-            None => {
-                batcher::form_batch(&inner.admission, &inner.config, &inner.metrics, &|_, _| {
-                    (inner.config.max_batch, inner.config.max_linger)
-                })
-            }
-        };
-        match outcome {
+        if let Some(shed) = &mut shed {
+            shed.update(&inner.metrics, &inner.admission);
+        }
+        match batcher::form_batch(&inner.admission, &inner.config, &inner.metrics, &policy) {
             FormOutcome::Formed(batch) => {
                 if let Err(PushError::Closed(batch)) = inner.dispatch.push(batch) {
                     // Dispatch can only close after this thread exits, but
@@ -874,7 +792,7 @@ fn execute_batch(
     accelerators: &mut HashMap<AcceleratorKey, (Accelerator, PlanInfo)>,
     batch: &mut Batch,
     exec_started: Instant,
-    plan: LivePlan,
+    plan: PlanInfo,
 ) {
     // Last-moment lifecycle checks: cancelled or expired requests are
     // completed here and excluded from the run.
@@ -960,7 +878,7 @@ fn execute_decompose(
     live: &[usize],
     exec_started: Instant,
     shape: (usize, usize),
-    plan: LivePlan,
+    plan: PlanInfo,
 ) {
     // Packing decision: a same-shape batch of w >= 2 small problems
     // executes as one wave of w co-resident tenants on disjoint
@@ -1109,7 +1027,7 @@ fn execute_apply(
     batch: &mut Batch,
     live: &[usize],
     exec_started: Instant,
-    plan: LivePlan,
+    plan: PlanInfo,
 ) {
     let factors: Arc<PublishedFactors> = match &batch.entries[live[0]].request.payload {
         Payload::Apply { factors, .. } => Arc::clone(factors),
@@ -1235,7 +1153,7 @@ fn execute_update(
     live: &[usize],
     exec_started: Instant,
     shape: (usize, usize),
-    plan: LivePlan,
+    plan: PlanInfo,
 ) {
     for &i in live {
         let (matrix, client, cached, class) = match &mut batch.entries[i].request.payload {
@@ -1355,7 +1273,7 @@ fn run_update_route(
     matrix: Matrix<f32>,
     cached: Option<Arc<FactorCacheEntry>>,
     class: Option<UpdateClass<f32>>,
-    plan: LivePlan,
+    plan: PlanInfo,
 ) -> Result<UpdateOutcome, ServeError> {
     let route = class
         .as_ref()
@@ -1501,7 +1419,7 @@ fn plan_config(
     inner: &Inner,
     shape: (usize, usize),
     tenants: usize,
-    plan: LivePlan,
+    plan: PlanInfo,
 ) -> Result<(heterosvd::HeteroSvdConfig, PlanInfo), HeteroSvdError> {
     let live = if tenants >= 2 {
         inner
@@ -1539,7 +1457,7 @@ fn cached_accelerator<'a>(
     inner: &Inner,
     shape: (usize, usize),
     tenants: usize,
-    plan: LivePlan,
+    plan: PlanInfo,
 ) -> Result<(&'a Accelerator, PlanInfo), HeteroSvdError> {
     use std::collections::hash_map::Entry;
     match accelerators.entry((shape, tenants)) {
@@ -1566,7 +1484,7 @@ fn plan_wave_placement(
     inner: &Inner,
     shape: (usize, usize),
     tenants: usize,
-    plan: LivePlan,
+    plan: PlanInfo,
 ) -> Option<Vec<heterosvd::SubGrid>> {
     let (config, _) = plan_config(inner, shape, 1, plan).ok()?;
     let mut allocator = heterosvd::SubGridAllocator::new(config.geometry());
@@ -2210,35 +2128,6 @@ mod tests {
         assert!(prom.contains("hsvd_apply_profile_cache_hits_total"));
         assert!(prom.contains("type=\"apply\""));
         service.shutdown();
-    }
-
-    #[test]
-    fn scraper_captures_reports_periodically() {
-        let config = ServeConfig {
-            metrics_scrape_interval: Some(Duration::from_millis(10)),
-            ..quick_config()
-        };
-        let service = SvdService::start(config).unwrap();
-        let handle = service.try_submit(test_matrix(8, 8, 9)).unwrap();
-        handle.wait().unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let scrape = loop {
-            if let Some(scrape) = service.latest_scrape() {
-                if scrape.snapshot.completed_ok >= 1 {
-                    break scrape;
-                }
-            }
-            assert!(
-                Instant::now() < deadline,
-                "scraper never captured the completion"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        };
-        assert_eq!(scrape.snapshot.completed_ok, 1);
-        // Shutdown joins the scraper promptly (no interval-long stall).
-        let begun = Instant::now();
-        service.shutdown();
-        assert!(begun.elapsed() < Duration::from_secs(5));
     }
 
     #[test]
