@@ -11,7 +11,6 @@
 //! peer up to its cap.
 
 use crate::config::ServeConfig;
-use crate::error::ServeError;
 use crate::metrics::Metrics;
 use crate::request::{BatchKey, PendingRequest, SloClass};
 use crate::scheduler::ClassScheduler;
@@ -195,7 +194,7 @@ fn cut_batch(
         let exhausted = taken.len() < wanted;
         let now = Instant::now();
         for request in taken {
-            if let Some(request) = admit_or_complete(request, metrics) {
+            if !request.end_if_dead(now, false, metrics) {
                 let picked_at = request.seen_at.unwrap_or(now);
                 entries.push(BatchEntry { request, picked_at });
             }
@@ -234,27 +233,10 @@ fn cut_batch(
     FormOutcome::Formed(Batch { key, entries })
 }
 
-/// Filters one request at pickup: completes it with its terminal error
-/// if it was cancelled or its deadline elapsed, otherwise passes it on.
-fn admit_or_complete(request: PendingRequest, metrics: &Metrics) -> Option<PendingRequest> {
-    if request.state.is_cancelled() {
-        if request.state.complete(Err(ServeError::Cancelled)) {
-            metrics.record_cancelled(request.request_type());
-        }
-        return None;
-    }
-    if request.deadline_elapsed(Instant::now()) {
-        if request.state.complete(Err(ServeError::DeadlineExceeded)) {
-            metrics.record_timed_out_batcher(request.request_type());
-        }
-        return None;
-    }
-    Some(request)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Outcome;
     use crate::request::fixtures::{self, pending_apply, published};
     use crate::request::RequestType;
     use crate::{ServeError, SvdService};
@@ -389,8 +371,8 @@ mod tests {
         admit(&queue, pending(2, (8, 8)));
         let batch = formed(form(&queue, &config(2, Duration::from_millis(1)), &metrics));
         assert_eq!(ids(&batch), vec![2]);
-        assert!(!doomed_state.complete(Err(ServeError::Cancelled)));
-        assert_eq!(metrics.cancelled.load(Ordering::Relaxed), 1);
+        assert!(!doomed_state.fail(ServeError::Cancelled));
+        assert_eq!(metrics.total(Outcome::Cancelled), 1);
     }
 
     #[test]
@@ -410,7 +392,7 @@ mod tests {
         let batch = formed(form(&queue, &config(3, Duration::from_secs(1)), &metrics));
         assert_eq!(ids(&batch), vec![1, 3, 4]);
         assert_eq!(queue.len(), 0);
-        assert_eq!(metrics.cancelled.load(Ordering::Relaxed), 2);
+        assert_eq!(metrics.total(Outcome::Cancelled), 2);
     }
 
     #[test]
@@ -422,7 +404,7 @@ mod tests {
         admit(&queue, stale);
         let out = form(&queue, &config(2, Duration::from_millis(1)), &metrics);
         assert!(matches!(out, FormOutcome::Idle));
-        assert_eq!(metrics.timed_out_batcher.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.total(Outcome::TimedOutAtBatcher), 1);
         let snapshot = metrics.snapshot(0, 0);
         assert_eq!(snapshot.per_type.decompose.timed_out_at_batcher, 1);
         assert_eq!(snapshot.per_type.apply.timed_out_at_batcher, 0);
@@ -449,10 +431,10 @@ mod tests {
             matches!(out, FormOutcome::Idle),
             "expired entry must not form a batch"
         );
-        assert_eq!(metrics.timed_out_batcher.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics.timed_out_exec.load(Ordering::Relaxed), 0);
+        assert_eq!(metrics.total(Outcome::TimedOutAtBatcher), 1);
+        assert_eq!(metrics.total(Outcome::TimedOutAtExec), 0);
         // The request was completed with the timeout by the batcher.
-        assert!(!state.complete(Err(ServeError::DeadlineExceeded)));
+        assert!(!state.fail(ServeError::DeadlineExceeded));
     }
 
     #[test]

@@ -9,7 +9,9 @@ use std::time::Duration;
 /// The accelerator-side knobs (`engine_parallelism`, `task_parallelism`,
 /// precision, fidelity) are shared by every replica; each replica builds
 /// one [`heterosvd::Accelerator`] per distinct request shape and reuses
-/// it across batches.
+/// it across batches. Replicas always replay the cached per-plan timing
+/// profile (exact) and charge Eq. (14) without cross-batch pipelining:
+/// the accelerator's defaults for those knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Number of accelerator replicas (worker threads).
@@ -42,18 +44,6 @@ pub struct ServeConfig {
     pub fixed_iterations: Option<usize>,
     /// Whether replicas compute real factorizations or timing only.
     pub fidelity: FidelityMode,
-    /// Whether replicas reuse the cached per-plan timing profile instead
-    /// of re-simulating the timeline for every request (forwarded to
-    /// [`heterosvd::HeteroSvdConfig::timing_replay`]). Replay is exact,
-    /// so this defaults on.
-    pub timing_replay: bool,
-    /// Whether the Eq. (14) batch system time models §IV-C cross-batch
-    /// PL-pass pipelining between consecutive waves (forwarded to
-    /// [`heterosvd::HeteroSvdConfig::cross_batch_pipelining`]). Defaults
-    /// off to preserve Eq. (14) exactly.
-    pub cross_batch_pipelining: bool,
-    /// Deadline applied to requests submitted without an explicit one.
-    pub default_timeout: Option<Duration>,
     /// Whether the service and its replicas emit observability data:
     /// per-stage span journal entries, per-resource utilization reports,
     /// and the aggregates behind [`crate::MetricsReport`]. Forwarded to
@@ -164,9 +154,6 @@ impl Default for ServeConfig {
             functional_parallelism: 1,
             fixed_iterations: None,
             fidelity: FidelityMode::Functional,
-            timing_replay: true,
-            cross_batch_pipelining: false,
-            default_timeout: None,
             observability: true,
             factor_store_bytes: 64 << 20,
             array_packing: true,
@@ -412,8 +399,6 @@ impl ServeConfig {
             .precision(self.precision)
             .functional_parallelism(self.functional_parallelism)
             .fidelity(self.fidelity)
-            .timing_replay(self.timing_replay)
-            .cross_batch_pipelining(self.cross_batch_pipelining)
             .observability(self.observability)
             .incremental(self.incremental);
         if let Some(iters) = self.fixed_iterations {

@@ -40,7 +40,12 @@
 //!   traffic with [`ServeError::Overloaded`] before the queue collapses.
 //! * **Lifecycle** — per-request deadlines, cancellation, worker-panic
 //!   containment (the poisoned replica is retired and replaced), and
-//!   drain-on-shutdown.
+//!   drain-on-shutdown. Every request kind enters through one admission
+//!   path and is answered through one [`Handle`] type. Every admitted
+//!   request ends exactly once, in a terminal step that counts its
+//!   outcome before the handle can see it. After a drained shutdown,
+//!   `submitted == completed_ok + failed + cancelled + timed_out +
+//!   evicted` (see [`MetricsSnapshot`]).
 //! * **Decompose-once / apply-constantly** —
 //!   [`SvdService::try_submit_publish`] truncates a successful
 //!   factorization to rank r and publishes it (versioned, LRU
@@ -112,8 +117,8 @@ pub use metrics::{
 };
 pub use report::{CacheReport, MetricsReport, ShapeUtilization};
 pub use request::{
-    ApplyHandle, ApplyResponse, LatencyRecord, PlanInfo, PublishSpec, RequestHandle, RequestId,
-    RequestType, SloClass, SubmitOptions, SvdResponse, UpdateHandle, UpdateResponse,
+    ApplyHandle, ApplyResponse, Handle, LatencyRecord, PlanInfo, PublishSpec, RequestHandle,
+    RequestId, RequestType, SloClass, SubmitOptions, SvdResponse, UpdateHandle, UpdateResponse,
 };
 pub use service::SvdService;
 

@@ -18,21 +18,35 @@ const MAX_SHAPE_SAMPLES: usize = 4_096;
 /// Cap on retained per-SLO-class wall-latency samples.
 const MAX_CLASS_SAMPLES: usize = 16_384;
 
+/// How an admitted request ended: exactly one per request, counted by
+/// the request's terminal step before its waiter can see the result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    /// Served successfully.
+    Completed,
+    /// Ended in an accelerator, numeric or replica error.
+    Failed,
+    /// Cancelled by its submitter before execution.
+    Cancelled,
+    /// Deadline expiry caught at batch formation (the request never
+    /// left the admission queue in time).
+    TimedOutAtBatcher,
+    /// Deadline expiry caught at replica-exec start (admitted in time,
+    /// but the deadline passed while the batch was forming/dispatching).
+    TimedOutAtExec,
+    /// Evicted from a full classed queue to admit a more urgent request.
+    Evicted,
+}
+
+impl Outcome {
+    const COUNT: usize = 6;
+}
+
 /// Live metric state shared by the service threads.
 pub(crate) struct Metrics {
     started_at: Instant,
-    pub(crate) submitted: AtomicU64,
     pub(crate) rejected_full: AtomicU64,
     pub(crate) rejected_invalid: AtomicU64,
-    pub(crate) completed_ok: AtomicU64,
-    pub(crate) failed: AtomicU64,
-    pub(crate) cancelled: AtomicU64,
-    /// Deadline expiries caught at batch formation (the request never
-    /// left the admission queue in time).
-    pub(crate) timed_out_batcher: AtomicU64,
-    /// Deadline expiries caught at replica-exec start (admitted in time,
-    /// but the deadline passed while the batch was forming/dispatching).
-    pub(crate) timed_out_exec: AtomicU64,
     pub(crate) worker_panics: AtomicU64,
     pub(crate) replicas_spawned: AtomicU64,
     pub(crate) batches_dispatched: AtomicU64,
@@ -61,13 +75,9 @@ pub(crate) struct Metrics {
     /// Batches a replica popped from another sub-pool's dispatch queue
     /// (shape-classed work stealing).
     pub(crate) batches_stolen: AtomicU64,
-    /// Current load-shed tier: 0 = none, 1 = Batch class shed,
-    /// 2 = Batch + Standard shed. A gauge, written by the batcher's
-    /// overload policy.
-    pub(crate) shed_level: AtomicU64,
-    /// Per-request-type counter split, indexed by
-    /// [`RequestType::index`]; the aggregates above stay authoritative
-    /// for mixed totals.
+    /// The outcome table: admissions and one count per [`Outcome`] for
+    /// each request type, indexed by [`RequestType::index`]. Every
+    /// aggregate request counter is a sum over it.
     per_type: [TypeMetrics; 3],
     /// Per-SLO-class slice, indexed by [`SloClass::index`].
     per_class: [ClassMetrics; 3],
@@ -111,15 +121,13 @@ impl WindowState {
     }
 }
 
-/// Per-request-type slice of the counters that differ meaningfully
-/// between decompose and apply traffic (each type gets its own
-/// throughput window, advanced by the same snapshots as the aggregate).
+/// One request type's row of the outcome table (each type also gets
+/// its own throughput window, advanced by the same snapshots as the
+/// aggregate).
 struct TypeMetrics {
     submitted: AtomicU64,
-    completed_ok: AtomicU64,
-    cancelled: AtomicU64,
-    timed_out_batcher: AtomicU64,
-    timed_out_exec: AtomicU64,
+    /// Indexed by `Outcome as usize`.
+    ended: [AtomicU64; Outcome::COUNT],
     window: Mutex<WindowState>,
 }
 
@@ -127,12 +135,13 @@ impl TypeMetrics {
     fn new() -> Self {
         TypeMetrics {
             submitted: AtomicU64::new(0),
-            completed_ok: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            timed_out_batcher: AtomicU64::new(0),
-            timed_out_exec: AtomicU64::new(0),
+            ended: std::array::from_fn(|_| AtomicU64::new(0)),
             window: Mutex::new(WindowState::new()),
         }
+    }
+
+    fn ended(&self, outcome: Outcome) -> u64 {
+        self.ended[outcome as usize].load(Ordering::Relaxed)
     }
 }
 
@@ -209,14 +218,8 @@ impl Metrics {
     pub(crate) fn new() -> Self {
         Metrics {
             started_at: Instant::now(),
-            submitted: AtomicU64::new(0),
             rejected_full: AtomicU64::new(0),
             rejected_invalid: AtomicU64::new(0),
-            completed_ok: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            timed_out_batcher: AtomicU64::new(0),
-            timed_out_exec: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             replicas_spawned: AtomicU64::new(0),
             batches_dispatched: AtomicU64::new(0),
@@ -228,7 +231,6 @@ impl Metrics {
             plan_swaps: AtomicU64::new(0),
             dse_runs: AtomicU64::new(0),
             batches_stolen: AtomicU64::new(0),
-            shed_level: AtomicU64::new(0),
             per_type: [TypeMetrics::new(), TypeMetrics::new(), TypeMetrics::new()],
             per_class: [
                 ClassMetrics::new(),
@@ -250,23 +252,33 @@ impl Metrics {
     }
 
     pub(crate) fn record_submitted(&self, rtype: RequestType, class: SloClass) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
         self.of(rtype).submitted.fetch_add(1, Ordering::Relaxed);
         self.of_class(class)
             .submitted
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_completed(&self, rtype: RequestType, class: SloClass) {
-        self.completed_ok.fetch_add(1, Ordering::Relaxed);
-        self.of(rtype).completed_ok.fetch_add(1, Ordering::Relaxed);
-        self.of_class(class)
-            .completed_ok
-            .fetch_add(1, Ordering::Relaxed);
+    /// Counts how one admitted request of `rtype` and `class` ended. A
+    /// completion also counts toward its class, and an eviction toward
+    /// its class's `shed`.
+    pub(crate) fn record_outcome(&self, rtype: RequestType, class: SloClass, outcome: Outcome) {
+        self.of(rtype).ended[outcome as usize].fetch_add(1, Ordering::Relaxed);
+        let class = self.of_class(class);
+        let class_counter = match outcome {
+            Outcome::Completed => &class.completed_ok,
+            Outcome::Evicted => &class.shed,
+            _ => return,
+        };
+        class_counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a request shed (rejected or evicted) by the overload
-    /// policy, attributed to its SLO class.
+    /// Requests of every type that ended in `outcome`.
+    pub(crate) fn total(&self, outcome: Outcome) -> u64 {
+        self.per_type.iter().map(|t| t.ended(outcome)).sum()
+    }
+
+    /// Records a request of `class` the load shedder refused at
+    /// admission. It was never admitted, so it has no outcome.
     pub(crate) fn record_shed(&self, class: SloClass) {
         self.of_class(class).shed.fetch_add(1, Ordering::Relaxed);
     }
@@ -274,12 +286,6 @@ impl Metrics {
     /// Records a batch a replica stole from another sub-pool.
     pub(crate) fn record_batch_stolen(&self) {
         self.batches_stolen.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the current load-shed tier (0 = none, 1 = Batch,
-    /// 2 = Batch + Standard).
-    pub(crate) fn set_shed_level(&self, level: u64) {
-        self.shed_level.store(level, Ordering::Relaxed);
     }
 
     /// Records one packed wave covering `requests` co-scheduled requests.
@@ -298,28 +304,6 @@ impl Metrics {
 
     pub(crate) fn record_staleness_fallback(&self) {
         self.staleness_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a cancellation, split per request type like the timeout
-    /// counters (the aggregate alone cannot attribute per-class
-    /// shedding to the traffic it hits).
-    pub(crate) fn record_cancelled(&self, rtype: RequestType) {
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
-        self.of(rtype).cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_timed_out_batcher(&self, rtype: RequestType) {
-        self.timed_out_batcher.fetch_add(1, Ordering::Relaxed);
-        self.of(rtype)
-            .timed_out_batcher
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_timed_out_exec(&self, rtype: RequestType) {
-        self.timed_out_exec.fetch_add(1, Ordering::Relaxed);
-        self.of(rtype)
-            .timed_out_exec
-            .fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_plan_swap(&self) {
@@ -391,7 +375,7 @@ impl Metrics {
 
     fn type_snapshot(&self, rtype: RequestType, samples: &[Sample]) -> TypeSnapshot {
         let tm = self.of(rtype);
-        let completed = tm.completed_ok.load(Ordering::Relaxed);
+        let completed = tm.ended(Outcome::Completed);
         let window_rate = tm.window.lock().advance(completed);
         let mut queue_wait: Vec<u64> = samples
             .iter()
@@ -406,9 +390,9 @@ impl Metrics {
         TypeSnapshot {
             submitted: tm.submitted.load(Ordering::Relaxed),
             completed_ok: completed,
-            cancelled: tm.cancelled.load(Ordering::Relaxed),
-            timed_out_at_batcher: tm.timed_out_batcher.load(Ordering::Relaxed),
-            timed_out_at_exec: tm.timed_out_exec.load(Ordering::Relaxed),
+            cancelled: tm.ended(Outcome::Cancelled),
+            timed_out_at_batcher: tm.ended(Outcome::TimedOutAtBatcher),
+            timed_out_at_exec: tm.ended(Outcome::TimedOutAtExec),
             throughput_rps_window: window_rate,
             queue_wait_us: Percentiles::from_samples(&mut queue_wait),
             sim_exec_ps: Percentiles::from_samples(&mut exec),
@@ -456,14 +440,14 @@ impl Metrics {
     pub(crate) fn snapshot(&self, queue_depth: usize, replicas_live: usize) -> MetricsSnapshot {
         let samples = self.samples.lock().clone();
         let elapsed = self.started_at.elapsed().as_secs_f64();
-        let completed = self.completed_ok.load(Ordering::Relaxed);
+        let completed = self.total(Outcome::Completed);
         // Windowed rate: completions since the previous snapshot divided
         // by the wall time since it, then the window restarts here. A
         // long-running service reports its *current* rate instead of a
         // lifetime average polluted by warmup and idle stretches.
         let window_rate = self.window.lock().advance(completed);
-        let timed_out_batcher = self.timed_out_batcher.load(Ordering::Relaxed);
-        let timed_out_exec = self.timed_out_exec.load(Ordering::Relaxed);
+        let timed_out_batcher = self.total(Outcome::TimedOutAtBatcher);
+        let timed_out_exec = self.total(Outcome::TimedOutAtExec);
         let mut queue_wait: Vec<u64> = samples.iter().map(|s| s.queue_wait_us).collect();
         let mut linger: Vec<u64> = samples.iter().map(|s| s.linger_us).collect();
         let mut exec: Vec<u64> = samples.iter().map(|s| s.sim_exec_ps).collect();
@@ -478,13 +462,18 @@ impl Metrics {
             .map(|cm| cm.shed.load(Ordering::Relaxed))
             .sum();
         MetricsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
+            submitted: self
+                .per_type
+                .iter()
+                .map(|t| t.submitted.load(Ordering::Relaxed))
+                .sum(),
             rejected_queue_full: self.rejected_full.load(Ordering::Relaxed),
             rejected_invalid: self.rejected_invalid.load(Ordering::Relaxed),
             completed_ok: completed,
-            failed: self.failed.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
+            failed: self.total(Outcome::Failed),
+            cancelled: self.total(Outcome::Cancelled),
             shed: shed_total,
+            evicted: self.total(Outcome::Evicted),
             timed_out: timed_out_batcher + timed_out_exec,
             timed_out_at_batcher: timed_out_batcher,
             timed_out_at_exec: timed_out_exec,
@@ -493,7 +482,8 @@ impl Metrics {
             replicas_live: replicas_live as u64,
             batches_dispatched: self.batches_dispatched.load(Ordering::Relaxed),
             batches_stolen: self.batches_stolen.load(Ordering::Relaxed),
-            shed_level: self.shed_level.load(Ordering::Relaxed),
+            // The service fills in its scheduler's shed level.
+            shed_level: 0,
             packed_batches: self.packed_batches.load(Ordering::Relaxed),
             packed_requests: self.packed_requests.load(Ordering::Relaxed),
             warm_start_hits: self.warm_start_hits.load(Ordering::Relaxed),
@@ -680,8 +670,14 @@ pub struct MetricsSnapshot {
     /// Requests cancelled before execution.
     pub cancelled: u64,
     /// Requests shed by the overload policy across all classes (sum of
-    /// the per-class `shed` counters).
+    /// the per-class `shed` counters): door refusals, which were never
+    /// admitted, plus `evicted`.
     pub shed: u64,
+    /// Admitted requests evicted from a full classed queue to admit a
+    /// more urgent one (completed with `ServeError::Overloaded`). With
+    /// the shutdown drained, `submitted == completed_ok + failed +
+    /// cancelled + timed_out + evicted`.
+    pub evicted: u64,
     /// Requests whose deadline elapsed before execution (both drop
     /// points combined).
     pub timed_out: u64,
@@ -755,6 +751,13 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    /// Ends `n` Standard-class requests of `rtype` in `outcome`.
+    fn end_n(m: &Metrics, rtype: RequestType, outcome: Outcome, n: usize) {
+        for _ in 0..n {
+            m.record_outcome(rtype, SloClass::Standard, outcome);
+        }
+    }
+
     #[test]
     fn percentiles_of_known_distribution() {
         let mut xs: Vec<u64> = (1..=100).collect();
@@ -813,7 +816,7 @@ mod tests {
     #[test]
     fn windowed_rate_resets_per_snapshot() {
         let m = Metrics::new();
-        m.completed_ok.store(100, Ordering::Relaxed);
+        end_n(&m, RequestType::Decompose, Outcome::Completed, 100);
         std::thread::sleep(Duration::from_millis(5));
         let first = m.snapshot(0, 0);
         assert!(first.throughput_rps > 0.0);
@@ -825,7 +828,7 @@ mod tests {
         assert_eq!(second.throughput_rps_window, 0.0);
         assert!(second.throughput_rps > 0.0);
         // New completions show up in the next window.
-        m.completed_ok.store(150, Ordering::Relaxed);
+        end_n(&m, RequestType::Decompose, Outcome::Completed, 50);
         std::thread::sleep(Duration::from_millis(5));
         let third = m.snapshot(0, 0);
         assert!(third.throughput_rps_window > 0.0);
@@ -834,8 +837,8 @@ mod tests {
     #[test]
     fn timed_out_splits_by_drop_point() {
         let m = Metrics::new();
-        m.timed_out_batcher.fetch_add(3, Ordering::Relaxed);
-        m.timed_out_exec.fetch_add(2, Ordering::Relaxed);
+        end_n(&m, RequestType::Decompose, Outcome::TimedOutAtBatcher, 3);
+        end_n(&m, RequestType::Apply, Outcome::TimedOutAtExec, 2);
         let snap = m.snapshot(0, 0);
         assert_eq!(snap.timed_out, 5);
         assert_eq!(snap.timed_out_at_batcher, 3);
@@ -848,9 +851,9 @@ mod tests {
         m.record_submitted(RequestType::Decompose, SloClass::Standard);
         m.record_submitted(RequestType::Apply, SloClass::Standard);
         m.record_submitted(RequestType::Apply, SloClass::Standard);
-        m.record_completed(RequestType::Apply, SloClass::Standard);
-        m.record_timed_out_batcher(RequestType::Decompose);
-        m.record_timed_out_exec(RequestType::Apply);
+        end_n(&m, RequestType::Apply, Outcome::Completed, 1);
+        end_n(&m, RequestType::Decompose, Outcome::TimedOutAtBatcher, 1);
+        end_n(&m, RequestType::Apply, Outcome::TimedOutAtExec, 1);
         m.record_latency(
             &LatencyRecord {
                 queue_wait: Duration::from_micros(10),
@@ -889,7 +892,7 @@ mod tests {
         let m = Metrics::new();
         m.record_submitted(RequestType::Update, SloClass::Standard);
         m.record_submitted(RequestType::Update, SloClass::Standard);
-        m.record_completed(RequestType::Update, SloClass::Standard);
+        end_n(&m, RequestType::Update, Outcome::Completed, 1);
         m.record_warm_start_hit();
         m.record_lowrank_hit();
         m.record_lowrank_hit();
@@ -939,8 +942,10 @@ mod tests {
     #[test]
     fn snapshot_serializes_to_json() {
         let m = Metrics::new();
-        m.submitted.store(3, Ordering::Relaxed);
-        m.completed_ok.store(2, Ordering::Relaxed);
+        for _ in 0..3 {
+            m.record_submitted(RequestType::Decompose, SloClass::Standard);
+        }
+        end_n(&m, RequestType::Decompose, Outcome::Completed, 2);
         m.record_latency(
             &LatencyRecord {
                 queue_wait: Duration::from_micros(120),
@@ -1051,16 +1056,15 @@ mod tests {
         assert_eq!(totals[1].completed[RequestType::Update.index()], 1);
     }
 
-    /// Regression test: `record_cancelled` used to bump only the
-    /// aggregate counter, so a cancellation storm against one request
-    /// type was invisible in the per-type breakdown. The split must
-    /// attribute each cancellation to its type.
+    /// Regression test: cancellations used to bump only an aggregate
+    /// counter, so a cancellation storm against one request type was
+    /// invisible in the per-type breakdown. The split must attribute
+    /// each cancellation to its type.
     #[test]
     fn cancellations_split_per_request_type() {
         let m = Metrics::new();
-        m.record_cancelled(RequestType::Apply);
-        m.record_cancelled(RequestType::Apply);
-        m.record_cancelled(RequestType::Decompose);
+        end_n(&m, RequestType::Apply, Outcome::Cancelled, 2);
+        end_n(&m, RequestType::Decompose, Outcome::Cancelled, 1);
         let snap = m.snapshot(0, 0);
         assert_eq!(snap.cancelled, 3);
         assert_eq!(snap.per_type.apply.cancelled, 2);
@@ -1076,10 +1080,16 @@ mod tests {
         m.record_submitted(RequestType::Decompose, SloClass::Interactive);
         m.record_submitted(RequestType::Decompose, SloClass::Batch);
         m.record_submitted(RequestType::Decompose, SloClass::Batch);
-        m.record_completed(RequestType::Decompose, SloClass::Interactive);
+        m.record_outcome(
+            RequestType::Decompose,
+            SloClass::Interactive,
+            Outcome::Completed,
+        );
+        // One door refusal and one eviction: both are shed, only the
+        // eviction was admitted.
         m.record_shed(SloClass::Batch);
+        m.record_outcome(RequestType::Decompose, SloClass::Batch, Outcome::Evicted);
         m.record_batch_stolen();
-        m.set_shed_level(1);
         let mut rec = record_of(100, 1);
         rec.wall_total = Duration::from_micros(250);
         m.record_latency(&rec, RequestType::Decompose, None, SloClass::Interactive);
@@ -1088,12 +1098,12 @@ mod tests {
         assert_eq!(snap.per_class.interactive.completed_ok, 1);
         assert_eq!(snap.per_class.interactive.wall_us.p99, 250);
         assert_eq!(snap.per_class.batch.submitted, 2);
-        assert_eq!(snap.per_class.batch.shed, 1);
+        assert_eq!(snap.per_class.batch.shed, 2);
         assert_eq!(snap.per_class.batch.wall_us.p99, 0);
         assert_eq!(snap.per_class.standard.submitted, 0);
-        assert_eq!(snap.shed, 1);
+        assert_eq!(snap.shed, 2);
+        assert_eq!(snap.evicted, 1);
         assert_eq!(snap.batches_stolen, 1);
-        assert_eq!(snap.shed_level, 1);
         let json = serde_json::to_string(&snap).unwrap();
         assert!(json.contains("\"per_class\""));
         assert!(json.contains("\"interactive\""));

@@ -435,6 +435,12 @@ impl MetricsReport {
         );
         counter(
             out,
+            "evicted_total",
+            "Admitted requests evicted from a full queue by the overload policy.",
+            s.evicted,
+        );
+        counter(
+            out,
             "batches_stolen_total",
             "Batches a replica stole from another sub-pool.",
             s.batches_stolen,
@@ -702,7 +708,7 @@ impl MetricsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Metrics;
+    use crate::metrics::{Metrics, Outcome};
     use crate::request::{LatencyRecord, PlanInfo, RequestType, SloClass};
     use aie_sim::{SimStats, TimePs};
     use heterosvd::obs::{ResourceCounts, UtilizationReport};
@@ -712,11 +718,16 @@ mod tests {
         let metrics = Metrics::new();
         metrics.record_plan_swap();
         metrics.record_dse_run();
-        metrics.record_cancelled(RequestType::Apply);
+        metrics.record_outcome(RequestType::Apply, SloClass::Standard, Outcome::Cancelled);
+        // One door refusal (Batch) and one eviction (Standard): both shed.
         metrics.record_shed(SloClass::Batch);
+        metrics.record_outcome(RequestType::Apply, SloClass::Standard, Outcome::Evicted);
         metrics.record_batch_stolen();
-        metrics.set_shed_level(1);
-        metrics.record_completed(RequestType::Decompose, SloClass::Standard);
+        metrics.record_outcome(
+            RequestType::Decompose,
+            SloClass::Standard,
+            Outcome::Completed,
+        );
         metrics.record_latency(
             &LatencyRecord {
                 queue_wait: Duration::from_micros(1),
@@ -740,6 +751,7 @@ mod tests {
                 task_parallelism: 3,
                 generation: 1,
             },
+            shed_level: 1,
             ..metrics.snapshot(0, 2)
         };
         let stats = SimStats {
@@ -839,7 +851,8 @@ mod tests {
         assert!(json.contains("\"interactive\""));
         assert!(json.contains("\"wall_us\""));
         assert!(json.contains("\"cancelled\": 1"));
-        assert!(json.contains("\"shed\": 1"));
+        assert!(json.contains("\"shed\": 2"));
+        assert!(json.contains("\"evicted\": 1"));
         assert!(json.contains("\"batches_stolen\": 1"));
         assert!(json.contains("\"shed_level\": 1"));
     }
@@ -890,8 +903,10 @@ mod tests {
         assert!(text.contains("hsvd_submitted_by_class_total{class=\"interactive\"}"));
         assert!(text.contains("hsvd_completed_ok_by_class_total{class=\"standard\"} 1"));
         assert!(text.contains("hsvd_shed_by_class_total{class=\"batch\"} 1"));
+        assert!(text.contains("hsvd_shed_by_class_total{class=\"standard\"} 1"));
         assert!(text.contains("hsvd_wall_us_by_class{class=\"standard\",quantile=\"0.99\"}"));
-        assert!(text.contains("hsvd_shed_total 1"));
+        assert!(text.contains("hsvd_shed_total 2"));
+        assert!(text.contains("hsvd_evicted_total 1"));
         assert!(text.contains("hsvd_batches_stolen_total 1"));
         assert!(text.contains("hsvd_shed_level 1"));
     }

@@ -1,6 +1,7 @@
 //! Request lifecycle: submission options, handles, and latency records.
 
 use crate::error::ServeError;
+use crate::metrics::{Metrics, Outcome};
 use factor_store::{FactorMeta, ModelId, PublishedFactors};
 use heterosvd::factor_cache::{ClientId, FactorCacheEntry};
 use heterosvd::{HeteroSvdOutput, WarmStartCounters};
@@ -73,7 +74,7 @@ impl RequestType {
 /// batch formation and admission eviction order on when no explicit timeout
 /// was given — and its shedding priority under overload. It never, by
 /// itself, times a request out: only an explicit per-request timeout
-/// (or the service default) produces `DeadlineExceeded`.
+/// produces `DeadlineExceeded`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SloClass {
     /// Latency-sensitive traffic: shortest scheduling horizon, shed
@@ -166,9 +167,9 @@ pub struct PublishSpec {
 /// Per-request options accepted at submission.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SubmitOptions {
-    /// Overrides the service's default deadline. The deadline covers
-    /// wall-clock queueing and lingering; once a batch starts executing
-    /// the request is carried to completion.
+    /// The request's deadline, counted from admission (`None`: no
+    /// deadline). It covers wall-clock queueing and lingering; once a
+    /// batch starts executing the request is carried to completion.
     pub timeout: Option<Duration>,
     /// The request's SLO class (default [`SloClass::Standard`]). With
     /// `shape_classed` scheduling it sets the request's EDF order, its
@@ -280,8 +281,8 @@ pub struct UpdateResponse {
     pub latency: LatencyRecord,
 }
 
-/// Either terminal payload a request can complete with; typed handles
-/// unwrap their own variant. The variants differ in size (an
+/// Either terminal payload a request can complete with; each handle
+/// unwraps its own variant. The variants differ in size (an
 /// `SvdResponse` carries full factors), but exactly one instance
 /// exists per in-flight request and it is moved, never copied, so the
 /// indirection boxing would buy costs more than the slack bytes.
@@ -293,16 +294,64 @@ pub(crate) enum Completion {
     Update(UpdateResponse),
 }
 
-/// Caller-side handle to an admitted decompose request.
-///
-/// Waiting consumes the handle, so a result is delivered exactly once.
-#[derive(Debug)]
-pub struct RequestHandle {
-    pub(crate) id: RequestId,
-    pub(crate) state: Arc<RequestState>,
+// A handle is only ever completed by the execution path of the payload
+// its admission paired it with, so a foreign variant is unreachable.
+impl Completion {
+    pub(crate) fn into_svd(self) -> SvdResponse {
+        let Completion::Svd(response) = self else {
+            unreachable!("decompose handle completed with a foreign response")
+        };
+        response
+    }
+
+    pub(crate) fn into_apply(self) -> ApplyResponse {
+        let Completion::Apply(response) = self else {
+            unreachable!("apply handle completed with a foreign response")
+        };
+        response
+    }
+
+    pub(crate) fn into_update(self) -> UpdateResponse {
+        let Completion::Update(response) = self else {
+            unreachable!("update handle completed with a foreign response")
+        };
+        response
+    }
+
+    fn latency(&self) -> &LatencyRecord {
+        match self {
+            Completion::Svd(response) => &response.latency,
+            Completion::Apply(response) => &response.latency,
+            Completion::Update(response) => &response.latency,
+        }
+    }
 }
 
-impl RequestHandle {
+/// Caller-side handle to an admitted request, delivering `R` — one of
+/// [`SvdResponse`], [`ApplyResponse`] or [`UpdateResponse`] (see the
+/// [`RequestHandle`], [`ApplyHandle`] and [`UpdateHandle`] aliases).
+///
+/// The request ends exactly once, and its outcome is counted in the
+/// service metrics before the handle can observe it: a caller that reads
+/// [`crate::SvdService::metrics`] right after [`Handle::wait`] returns
+/// sees its own request counted. Waiting consumes the handle, so a
+/// result is delivered exactly once.
+#[derive(Debug)]
+pub struct Handle<R> {
+    pub(crate) id: RequestId,
+    pub(crate) state: Arc<RequestState>,
+    /// Unwraps the handle's own [`Completion`] variant.
+    pub(crate) unwrap: fn(Completion) -> R,
+}
+
+/// Handle to an admitted decompose (or decompose-and-publish) request.
+pub type RequestHandle = Handle<SvdResponse>;
+/// Handle to an admitted apply request.
+pub type ApplyHandle = Handle<ApplyResponse>;
+/// Handle to an admitted incremental-update request.
+pub type UpdateHandle = Handle<UpdateResponse>;
+
+impl<R> Handle<R> {
     /// The id assigned at admission.
     pub fn id(&self) -> RequestId {
         self.id
@@ -325,8 +374,8 @@ impl RequestHandle {
     /// # Errors
     ///
     /// Whatever terminal error the request ended with.
-    pub fn wait(self) -> Result<SvdResponse, ServeError> {
-        take_svd(self.state.wait_take())
+    pub fn wait(self) -> Result<R, ServeError> {
+        self.state.wait_take().map(self.unwrap)
     }
 
     /// Blocks up to `timeout` for completion.
@@ -335,137 +384,12 @@ impl RequestHandle {
     ///
     /// `Err(self)` hands the handle back on timeout so the caller can
     /// keep waiting or cancel.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Result<SvdResponse, ServeError>, Self> {
+    pub fn wait_timeout(self, timeout: Duration) -> Result<Result<R, ServeError>, Self> {
         match self.state.wait_take_until(Instant::now() + timeout) {
-            Some(result) => Ok(take_svd(result)),
+            Some(result) => Ok(result.map(self.unwrap)),
             None => Err(self),
         }
     }
-}
-
-/// Caller-side handle to an admitted apply request.
-///
-/// Same lifecycle as [`RequestHandle`], delivering an [`ApplyResponse`].
-#[derive(Debug)]
-pub struct ApplyHandle {
-    pub(crate) id: RequestId,
-    pub(crate) state: Arc<RequestState>,
-}
-
-impl ApplyHandle {
-    /// The id assigned at admission.
-    pub fn id(&self) -> RequestId {
-        self.id
-    }
-
-    /// Requests cancellation (best-effort, as for [`RequestHandle`]).
-    pub fn cancel(&self) {
-        self.state.cancelled.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a result is already available (non-blocking).
-    pub fn is_finished(&self) -> bool {
-        self.state.slot.lock().is_some()
-    }
-
-    /// Blocks until the request completes and takes the result.
-    ///
-    /// # Errors
-    ///
-    /// Whatever terminal error the request ended with.
-    pub fn wait(self) -> Result<ApplyResponse, ServeError> {
-        take_apply(self.state.wait_take())
-    }
-
-    /// Blocks up to `timeout` for completion; `Err(self)` hands the
-    /// handle back on timeout.
-    ///
-    /// # Errors
-    ///
-    /// `Err(self)` on timeout.
-    pub fn wait_timeout(
-        self,
-        timeout: Duration,
-    ) -> Result<Result<ApplyResponse, ServeError>, Self> {
-        match self.state.wait_take_until(Instant::now() + timeout) {
-            Some(result) => Ok(take_apply(result)),
-            None => Err(self),
-        }
-    }
-}
-
-/// Caller-side handle to an admitted incremental-update request.
-///
-/// Same lifecycle as [`RequestHandle`], delivering an [`UpdateResponse`].
-#[derive(Debug)]
-pub struct UpdateHandle {
-    pub(crate) id: RequestId,
-    pub(crate) state: Arc<RequestState>,
-}
-
-impl UpdateHandle {
-    /// The id assigned at admission.
-    pub fn id(&self) -> RequestId {
-        self.id
-    }
-
-    /// Requests cancellation (best-effort, as for [`RequestHandle`]).
-    pub fn cancel(&self) {
-        self.state.cancelled.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a result is already available (non-blocking).
-    pub fn is_finished(&self) -> bool {
-        self.state.slot.lock().is_some()
-    }
-
-    /// Blocks until the request completes and takes the result.
-    ///
-    /// # Errors
-    ///
-    /// Whatever terminal error the request ended with.
-    pub fn wait(self) -> Result<UpdateResponse, ServeError> {
-        take_update(self.state.wait_take())
-    }
-
-    /// Blocks up to `timeout` for completion; `Err(self)` hands the
-    /// handle back on timeout.
-    ///
-    /// # Errors
-    ///
-    /// `Err(self)` on timeout.
-    pub fn wait_timeout(
-        self,
-        timeout: Duration,
-    ) -> Result<Result<UpdateResponse, ServeError>, Self> {
-        match self.state.wait_take_until(Instant::now() + timeout) {
-            Some(result) => Ok(take_update(result)),
-            None => Err(self),
-        }
-    }
-}
-
-fn take_svd(result: Result<Completion, ServeError>) -> Result<SvdResponse, ServeError> {
-    result.map(|completion| match completion {
-        Completion::Svd(response) => response,
-        // A decompose handle is only ever completed by the decompose
-        // path; the payload/handle pairing is fixed at admission.
-        _ => unreachable!("decompose handle completed with a foreign response"),
-    })
-}
-
-fn take_apply(result: Result<Completion, ServeError>) -> Result<ApplyResponse, ServeError> {
-    result.map(|completion| match completion {
-        Completion::Apply(response) => response,
-        _ => unreachable!("apply handle completed with a foreign response"),
-    })
-}
-
-fn take_update(result: Result<Completion, ServeError>) -> Result<UpdateResponse, ServeError> {
-    result.map(|completion| match completion {
-        Completion::Update(response) => response,
-        _ => unreachable!("update handle completed with a foreign response"),
-    })
 }
 
 /// Shared completion slot between the handle and the service threads.
@@ -486,22 +410,29 @@ impl RequestState {
     }
 
     /// Completes the request if still pending; the first completion
-    /// wins and later ones are dropped. Returns whether this call won.
-    pub(crate) fn complete(&self, result: Result<Completion, ServeError>) -> bool {
+    /// wins and later ones are dropped. The winner runs `count` under
+    /// the slot lock before storing the result, so no waiter can see the
+    /// result before it is counted. Returns whether this call won.
+    fn complete(
+        &self,
+        result: Result<Completion, ServeError>,
+        count: impl FnOnce(&Result<Completion, ServeError>),
+    ) -> bool {
         let mut slot = self.slot.lock();
         if slot.is_some() {
             return false;
         }
+        count(&result);
         *slot = Some(result);
         drop(slot);
         self.done.notify_all();
         true
     }
 
-    /// Shorthand for failing the request with `err`.
+    /// Fails the request with `err`, uncounted.
     #[cfg(test)]
     pub(crate) fn fail(&self, err: ServeError) -> bool {
-        self.complete(Err(err))
+        self.complete(Err(err), |_| {})
     }
 
     pub(crate) fn is_cancelled(&self) -> bool {
@@ -616,8 +547,58 @@ pub(crate) struct PendingRequest {
 }
 
 impl PendingRequest {
-    pub(crate) fn deadline_elapsed(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| now >= d)
+    /// Ends the request with `result`: `Ok` is a completion,
+    /// [`ServeError::Overloaded`] an eviction, and any other error a
+    /// failure. A request ends once; later calls are no-ops.
+    pub(crate) fn finish(&self, result: Result<Completion, ServeError>, metrics: &Metrics) {
+        let outcome = match &result {
+            Ok(_) => Outcome::Completed,
+            Err(ServeError::Overloaded) => Outcome::Evicted,
+            Err(_) => Outcome::Failed,
+        };
+        self.end(result, outcome, metrics)
+    }
+
+    /// Ends the request if it was cancelled, or timed out by `now` — a
+    /// timeout counted at exec start when `at_exec`, else at the batcher.
+    /// Returns whether the request is dead (ended here or before).
+    pub(crate) fn end_if_dead(&self, now: Instant, at_exec: bool, metrics: &Metrics) -> bool {
+        let (err, outcome) = if self.state.is_cancelled() {
+            (ServeError::Cancelled, Outcome::Cancelled)
+        } else if self.deadline.is_some_and(|d| now >= d) {
+            let point = if at_exec {
+                Outcome::TimedOutAtExec
+            } else {
+                Outcome::TimedOutAtBatcher
+            };
+            (ServeError::DeadlineExceeded, point)
+        } else {
+            return false;
+        };
+        self.end(Err(err), outcome, metrics);
+        true
+    }
+
+    /// The one terminal step: stores `result` and counts `outcome` (plus,
+    /// on `Ok`, the latency sample under the request's type, class and
+    /// shape) before any waiter can see it.
+    fn end(&self, result: Result<Completion, ServeError>, outcome: Outcome, metrics: &Metrics) {
+        let rtype = self.request_type();
+        self.state.complete(result, |result| {
+            metrics.record_outcome(rtype, self.class, outcome);
+            if let Ok(completion) = result {
+                metrics.record_latency(completion.latency(), rtype, self.shape(), self.class);
+            }
+        });
+    }
+
+    /// The matrix shape of decompose and update requests; apply
+    /// requests carry none.
+    fn shape(&self) -> Option<(usize, usize)> {
+        match &self.payload {
+            Payload::Decompose { shape, .. } | Payload::Update { shape, .. } => Some(*shape),
+            Payload::Apply { .. } => None,
+        }
     }
 
     /// The instant the EDF scheduler orders this request by: the
@@ -749,6 +730,7 @@ mod tests {
         let handle = RequestHandle {
             id: RequestId(1),
             state,
+            unwrap: Completion::into_svd,
         };
         assert_eq!(handle.wait().unwrap_err(), ServeError::Cancelled);
     }
@@ -759,6 +741,7 @@ mod tests {
         let handle = RequestHandle {
             id: RequestId(7),
             state: Arc::clone(&state),
+            unwrap: Completion::into_svd,
         };
         let writer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5));
@@ -774,6 +757,7 @@ mod tests {
         let handle = RequestHandle {
             id: RequestId(9),
             state,
+            unwrap: Completion::into_svd,
         };
         let handle = handle
             .wait_timeout(Duration::from_millis(2))
@@ -788,6 +772,7 @@ mod tests {
         let handle = ApplyHandle {
             id: RequestId(3),
             state: Arc::clone(&state),
+            unwrap: Completion::into_apply,
         };
         let response = ApplyResponse {
             id: RequestId(3),
@@ -812,10 +797,45 @@ mod tests {
                 plan: PlanInfo::default(),
             },
         };
-        assert!(state.complete(Ok(Completion::Apply(response))));
+        assert!(state.complete(Ok(Completion::Apply(response)), |_| {}));
         let got = handle.wait().unwrap();
         assert_eq!(got.model, ModelId(42));
         assert_eq!(got.y, vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn terminal_step_counts_one_outcome_per_request() {
+        let metrics = Metrics::new();
+        let now = Instant::now();
+        let pending = |id| fixtures::pending(id, (4, 4), SloClass::Standard);
+        // A live request passes the lifecycle check untouched.
+        let evicted = pending(1);
+        assert!(!evicted.end_if_dead(now, true, &metrics));
+        // Overloaded is an eviction; a later end is a no-op, not a
+        // second count.
+        evicted.finish(Err(ServeError::Overloaded), &metrics);
+        evicted.finish(Err(ServeError::WorkerPanicked("late".into())), &metrics);
+        pending(2).finish(Err(ServeError::WorkerPanicked("boom".into())), &metrics);
+        // A timeout counts at the drop point that found it, once.
+        let mut expired = pending(3);
+        expired.deadline = Some(now);
+        assert!(expired.end_if_dead(now, true, &metrics));
+        assert!(expired.end_if_dead(now, false, &metrics));
+        let cancelled = pending(4);
+        cancelled.state.cancelled.store(true, Ordering::SeqCst);
+        assert!(cancelled.end_if_dead(now, false, &metrics));
+        let m = metrics.snapshot(0, 0);
+        assert_eq!(
+            (
+                m.evicted,
+                m.failed,
+                m.timed_out_at_exec,
+                m.timed_out_at_batcher
+            ),
+            (1, 1, 1, 0)
+        );
+        assert_eq!((m.cancelled, m.completed_ok), (1, 0));
+        assert_eq!((m.shed, m.per_class.standard.shed), (1, 1));
     }
 
     #[test]

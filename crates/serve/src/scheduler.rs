@@ -34,7 +34,7 @@
 
 use crate::batcher::Batch;
 use crate::error::ServeError;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, Outcome};
 use crate::queue::{PopResult, PushError};
 use crate::request::{BatchKey, PendingRequest, SloClass};
 use parking_lot::{Condvar, Mutex};
@@ -128,7 +128,7 @@ impl ClassScheduler {
     /// [`ClassScheduler::order`]. A full classed scheduler evicts the
     /// latest-deadline request among equal-or-lower-priority classes
     /// when the incoming request is strictly more urgent (the victim
-    /// completes with [`ServeError::Overloaded`] and is counted shed);
+    /// completes with [`ServeError::Overloaded`] and is counted evicted);
     /// otherwise, and always in FIFO mode, a full push fails `Full`.
     // A rejected push hands the request back by value so the caller can
     // complete it: the large Err variant is the point, not an accident.
@@ -162,9 +162,7 @@ impl ClassScheduler {
                         st.queues.remove(qi);
                     }
                     st.len -= 1;
-                    if evicted.state.complete(Err(ServeError::Overloaded)) {
-                        metrics.record_shed(evicted.class);
-                    }
+                    evicted.finish(Err(ServeError::Overloaded), metrics);
                 }
                 _ => return Err(PushError::Full(request)),
             }
@@ -435,9 +433,9 @@ impl ShedController {
         if self.last_eval.elapsed() < self.min_interval {
             return;
         }
-        let timeouts = metrics.timed_out_batcher.load(Ordering::Relaxed)
-            + metrics.timed_out_exec.load(Ordering::Relaxed);
-        let completed = metrics.completed_ok.load(Ordering::Relaxed);
+        let timeouts =
+            metrics.total(Outcome::TimedOutAtBatcher) + metrics.total(Outcome::TimedOutAtExec);
+        let completed = metrics.total(Outcome::Completed);
         let timeout_delta = timeouts.saturating_sub(self.prev_timeouts);
         let completed_delta = completed.saturating_sub(self.prev_completed);
         self.prev_timeouts = timeouts;
@@ -463,7 +461,6 @@ impl ShedController {
         if level != self.level {
             self.level = level;
             scheduler.set_shed_level(level);
-            metrics.set_shed_level(u64::from(level));
         }
     }
 }
@@ -474,6 +471,7 @@ mod tests {
     use crate::batcher::{self, BatchEntry, FormOutcome};
     use crate::config::ServeConfig;
     use crate::request::fixtures::{aged, pending, pending_apply, published};
+    use crate::request::RequestType;
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -652,12 +650,14 @@ mod tests {
             "the victim's emptied sub-queue is dropped"
         );
         assert!(
-            !victim_state.complete(Err(ServeError::Cancelled)),
+            !victim_state.fail(ServeError::Cancelled),
             "victim already completed (with Overloaded)"
         );
         let snap = metrics.snapshot(0, 0);
         assert_eq!(snap.per_class.batch.shed, 1);
         assert_eq!(snap.shed, 1);
+        assert_eq!(snap.evicted, 1);
+        assert_eq!(snap.failed, 0);
         // The evicted request is gone; the urgent one is formed first.
         sched.close();
         assert_eq!(formed_ids(form(&sched, &metrics)), vec![3]);
@@ -1039,27 +1039,33 @@ mod tests {
         let metrics = Metrics::new();
         let sched = ClassScheduler::new(4, true);
         let mut shed = ShedController::new(0.3, Duration::ZERO);
+        let end = |outcome, n| {
+            for _ in 0..n {
+                metrics.record_outcome(RequestType::Decompose, SloClass::Standard, outcome);
+            }
+        };
         // Window 1: 1 timeout / 9 completions = 10% < threshold.
-        metrics.completed_ok.store(9, Ordering::Relaxed);
-        metrics.timed_out_exec.store(1, Ordering::Relaxed);
+        end(Outcome::Completed, 9);
+        end(Outcome::TimedOutAtExec, 1);
         shed.update(&metrics, &sched);
         assert_eq!(sched.shed_level(), SHED_NONE);
-        // Window 2: 4 timeouts / 6 completions = 40% > 30%.
-        metrics.completed_ok.store(15, Ordering::Relaxed);
-        metrics.timed_out_exec.store(5, Ordering::Relaxed);
+        // Window 2: 4 timeouts / 6 completions = 40% > 30%; both drop
+        // points count.
+        end(Outcome::Completed, 6);
+        end(Outcome::TimedOutAtExec, 2);
+        end(Outcome::TimedOutAtBatcher, 2);
         shed.update(&metrics, &sched);
         assert_eq!(sched.shed_level(), SHED_BATCH);
-        assert_eq!(metrics.shed_level.load(Ordering::Relaxed), 1);
         // Window 3: 7/10 = 70% > 60%: Standard sheds too.
-        metrics.completed_ok.store(18, Ordering::Relaxed);
-        metrics.timed_out_exec.store(12, Ordering::Relaxed);
+        end(Outcome::Completed, 3);
+        end(Outcome::TimedOutAtExec, 7);
         shed.update(&metrics, &sched);
         assert_eq!(sched.shed_level(), SHED_STANDARD);
         // Windows 4-5: clean traffic decays one tier per window.
-        metrics.completed_ok.store(100, Ordering::Relaxed);
+        end(Outcome::Completed, 82);
         shed.update(&metrics, &sched);
         assert_eq!(sched.shed_level(), SHED_BATCH);
-        metrics.completed_ok.store(200, Ordering::Relaxed);
+        end(Outcome::Completed, 100);
         shed.update(&metrics, &sched);
         assert_eq!(sched.shed_level(), SHED_NONE);
         // An idle window holds the tier instead of decaying on silence.

@@ -1,15 +1,15 @@
 //! The serving front end: admission, dispatch, replica pool, lifecycle.
 
-use crate::batcher::{self, Batch, FormOutcome};
+use crate::batcher::{self, Batch, BatchEntry, FormOutcome};
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::{PopResult, PushError};
 use crate::report::{CacheReport, MetricsReport, ShapeUtilization};
 use crate::request::{
-    ApplyHandle, BatchKey, Completion, LatencyRecord, Payload, PendingRequest, PlanInfo,
-    PublishSpec, RequestHandle, RequestId, RequestState, RequestType, SloClass, SubmitOptions,
-    SvdResponse, UpdateHandle, UpdateResponse,
+    ApplyHandle, ApplyResponse, BatchKey, Completion, Handle, LatencyRecord, Payload,
+    PendingRequest, PlanInfo, PublishSpec, RequestHandle, RequestId, RequestState, SloClass,
+    SubmitOptions, SvdResponse, UpdateHandle, UpdateResponse,
 };
 use crate::scheduler::{
     ClassScheduler, ShedController, StealingDispatch, SHED_BATCH, SHED_STANDARD,
@@ -107,11 +107,12 @@ pub(crate) struct Inner {
 
 impl Inner {
     /// The metrics snapshot with the live gauges: queue depth, live
-    /// replicas and the current plan.
+    /// replicas, the shed level and the current plan.
     fn snapshot(&self) -> MetricsSnapshot {
         let current_plan = *self.live_plan.lock();
         MetricsSnapshot {
             current_plan,
+            shed_level: u64::from(self.admission.shed_level()),
             ..self.metrics.snapshot(
                 self.admission.len(),
                 self.replicas_live.load(Ordering::SeqCst),
@@ -228,11 +229,7 @@ impl SvdService {
             factor_cache: FactorCache::new(config.factor_cache_bytes),
             apply_model,
             utilization: Mutex::new(HashMap::new()),
-            live_plan: Mutex::new(PlanInfo {
-                engine_parallelism: config.engine_parallelism,
-                task_parallelism: config.task_parallelism,
-                generation: 0,
-            }),
+            live_plan: Mutex::new(base_plan(&config, 0)),
             autoscale_stop: Mutex::new(false),
             autoscale_cv: Condvar::new(),
             config,
@@ -317,16 +314,6 @@ impl SvdService {
         rank: usize,
         options: SubmitOptions,
     ) -> Result<RequestHandle, ServeError> {
-        if rank == 0 || rank > matrix.cols() {
-            self.inner
-                .metrics
-                .rejected_invalid
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::InvalidRequest(format!(
-                "publish rank {rank} outside 1..={}",
-                matrix.cols()
-            )));
-        }
         self.submit_decompose(matrix, Some(PublishSpec { model, rank }), options, false)
     }
 
@@ -367,42 +354,32 @@ impl SvdService {
         rank_hint: Option<usize>,
         options: SubmitOptions,
     ) -> Result<ApplyHandle, ServeError> {
-        let inner = &self.inner;
-        if inner.shutting_down.load(Ordering::SeqCst) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let reject = |msg: String| {
-            inner
-                .metrics
-                .rejected_invalid
-                .fetch_add(1, Ordering::Relaxed);
-            Err(ServeError::InvalidRequest(msg))
-        };
-        let Some(factors) = inner.store.get(model) else {
-            return reject(format!("{model} has no published factors"));
-        };
-        if x.len() != factors.meta.cols {
-            return reject(format!(
-                "input length {} does not match {model} cols {}",
-                x.len(),
-                factors.meta.cols
-            ));
-        }
-        let rank = rank_hint.unwrap_or(factors.meta.rank);
-        if rank == 0 || rank > factors.meta.rank {
-            return reject(format!(
-                "rank hint {rank} outside 1..={} stored for {model}",
-                factors.meta.rank
-            ));
-        }
-        let payload = Payload::Apply {
-            // Cast to the device's native f32 once, at admission.
-            x: x.iter().map(|&v| v as f32).collect(),
-            factors,
-            rank,
-        };
-        let (id, state) = self.admit(payload, options, false)?;
-        Ok(ApplyHandle { id, state })
+        self.admit(options, false, Completion::into_apply, |inner| {
+            let invalid = |msg| Err(ServeError::InvalidRequest(msg));
+            let Some(factors) = inner.store.get(model) else {
+                return invalid(format!("{model} has no published factors"));
+            };
+            if x.len() != factors.meta.cols {
+                return invalid(format!(
+                    "input length {} does not match {model} cols {}",
+                    x.len(),
+                    factors.meta.cols
+                ));
+            }
+            let rank = rank_hint.unwrap_or(factors.meta.rank);
+            if rank == 0 || rank > factors.meta.rank {
+                return invalid(format!(
+                    "rank hint {rank} outside 1..={} stored for {model}",
+                    factors.meta.rank
+                ));
+            }
+            Ok(Payload::Apply {
+                // Cast to the device's native f32 once, at admission.
+                x: x.iter().map(|&v| v as f32).collect(),
+                factors,
+                rank,
+            })
+        })
     }
 
     /// Submits an incremental update of `client`'s matrix with the
@@ -443,61 +420,46 @@ impl SvdService {
         matrix: Matrix<f64>,
         options: SubmitOptions,
     ) -> Result<UpdateHandle, ServeError> {
-        let inner = &self.inner;
-        if inner.shutting_down.load(Ordering::SeqCst) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let reject = |e: ServeError| {
-            inner
-                .metrics
-                .rejected_invalid
-                .fetch_add(1, Ordering::Relaxed);
-            Err(e)
-        };
-        if !inner.config.incremental {
-            return reject(ServeError::InvalidRequest(
-                "incremental updates are disabled (set ServeConfig::incremental)".into(),
-            ));
-        }
-        if let Err(e) = inner.config.check_shape(matrix.rows(), matrix.cols()) {
-            return reject(e);
-        }
-        let shape = (matrix.rows(), matrix.cols());
-        // Cast to the device's native f32 once, at admission (the
-        // fingerprint and classification run on exactly the bits the
-        // solve will see).
-        let matrix = matrix.cast::<f32>();
-        let entry = inner.factor_cache.get(client);
-        let class = match entry.as_deref() {
-            Some(cached) => {
-                // The low-rank path re-truncates to the cached rank r,
-                // so the augmented core must fit: k <= min(m, n) - r.
-                let k_budget = inner
-                    .config
-                    .max_update_rank
-                    .min(shape.0.min(shape.1).saturating_sub(cached.truncated.rank()));
-                match classify_update(
-                    &matrix,
-                    &cached.a_prev,
-                    cached.warm_solves_since_full,
-                    &inner.config.staleness_bound(),
-                    k_budget,
-                ) {
-                    Ok(class) => Some(class),
-                    Err(e) => return reject(ServeError::from(HeteroSvdError::Numeric(e))),
-                }
+        self.admit(options, false, Completion::into_update, |inner| {
+            if !inner.config.incremental {
+                return Err(ServeError::InvalidRequest(
+                    "incremental updates are disabled (set ServeConfig::incremental)".into(),
+                ));
             }
-            None => None,
-        };
-        let payload = Payload::Update {
-            matrix,
-            shape,
-            client,
-            entry,
-            class,
-        };
-        let (id, state) = self.admit(payload, options, false)?;
-        Ok(UpdateHandle { id, state })
+            inner.config.check_shape(matrix.rows(), matrix.cols())?;
+            let shape = (matrix.rows(), matrix.cols());
+            // Cast to the device's native f32 once, at admission (the
+            // fingerprint and classification run on exactly the bits the
+            // solve will see).
+            let matrix = matrix.cast::<f32>();
+            let entry = inner.factor_cache.get(client);
+            let class = entry
+                .as_deref()
+                .map(|cached| {
+                    // The low-rank path re-truncates to the cached rank r,
+                    // so the augmented core must fit: k <= min(m, n) - r.
+                    let k_budget = inner
+                        .config
+                        .max_update_rank
+                        .min(shape.0.min(shape.1).saturating_sub(cached.truncated.rank()));
+                    classify_update(
+                        &matrix,
+                        &cached.a_prev,
+                        cached.warm_solves_since_full,
+                        &inner.config.staleness_bound(),
+                        k_budget,
+                    )
+                    .map_err(|e| ServeError::from(HeteroSvdError::Numeric(e)))
+                })
+                .transpose()?;
+            Ok(Payload::Update {
+                matrix,
+                shape,
+                client,
+                entry,
+                class,
+            })
+        })
     }
 
     /// Chaos/test hook: admits a request whose replica panics instead of
@@ -519,45 +481,49 @@ impl SvdService {
         options: SubmitOptions,
         poison: bool,
     ) -> Result<RequestHandle, ServeError> {
-        let inner = &self.inner;
+        self.admit(options, poison, Completion::into_svd, |inner| {
+            if let Some(PublishSpec { rank, .. }) = publish {
+                if rank == 0 || rank > matrix.cols() {
+                    return Err(ServeError::InvalidRequest(format!(
+                        "publish rank {rank} outside 1..={}",
+                        matrix.cols()
+                    )));
+                }
+            }
+            inner.config.check_shape(matrix.rows(), matrix.cols())?;
+            Ok(Payload::Decompose {
+                shape: (matrix.rows(), matrix.cols()),
+                // Cast to the device's native f32 once, here: the request
+                // queues at half the memory and the replica moves the data
+                // straight into the accelerator with no further conversion.
+                matrix: matrix.cast::<f32>(),
+                publish,
+            })
+        })
+    }
+
+    /// The one admission path. It refuses after shutdown, builds the
+    /// payload with `build` (counting a refused payload in
+    /// `rejected_invalid`), sheds by class under overload, stamps the id
+    /// and deadline, and pushes into the bounded admission scheduler.
+    fn admit<R>(
+        &self,
+        options: SubmitOptions,
+        poison: bool,
+        unwrap: fn(Completion) -> R,
+        build: impl FnOnce(&Inner) -> Result<Payload, ServeError>,
+    ) -> Result<Handle<R>, ServeError> {
+        let inner = &*self.inner;
         if inner.shutting_down.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
-        if let Err(e) = inner.config.check_shape(matrix.rows(), matrix.cols()) {
+        let payload = build(inner).inspect_err(|_| {
             inner
                 .metrics
                 .rejected_invalid
                 .fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
-        let payload = Payload::Decompose {
-            shape: (matrix.rows(), matrix.cols()),
-            // Cast to the device's native f32 once, here: the request
-            // queues at half the memory and the replica moves the data
-            // straight into the accelerator with no further conversion.
-            matrix: matrix.cast::<f32>(),
-            publish,
-        };
-        let (id, state) = self.admit(payload, options, poison)?;
-        Ok(RequestHandle { id, state })
-    }
-
-    /// Common admission tail: assigns an id, stamps the deadline, and
-    /// pushes into the bounded admission scheduler.
-    fn admit(
-        &self,
-        payload: Payload,
-        options: SubmitOptions,
-        poison: bool,
-    ) -> Result<(RequestId, Arc<RequestState>), ServeError> {
-        let inner = &self.inner;
-        let rtype = match &payload {
-            Payload::Decompose { .. } => RequestType::Decompose,
-            Payload::Apply { .. } => RequestType::Apply,
-            Payload::Update { .. } => RequestType::Update,
-        };
+        })?;
         let submitted_at = Instant::now();
-        let timeout = options.timeout.or(inner.config.default_timeout);
         // Load shedding (classed mode only; the FIFO tier never
         // rises): past the controller's tier, Batch (then also
         // Standard) traffic is refused at the door with a retryable
@@ -579,18 +545,19 @@ impl SvdService {
             payload,
             state: Arc::clone(&state),
             submitted_at,
-            deadline: timeout.map(|t| submitted_at + t),
+            deadline: options.timeout.map(|t| submitted_at + t),
             seen_at: None,
             class: options.class,
             poison,
         };
+        let rtype = request.request_type();
         match inner.admission.try_push(request, &inner.metrics) {
             Ok(()) => {
                 inner.metrics.record_submitted(rtype, options.class);
                 if inner.config.observability {
                     obs::global().record(Stage::Admit, Some(id.0), submitted_at.elapsed(), None);
                 }
-                Ok((id, state))
+                Ok(Handle { id, state, unwrap })
             }
             Err(PushError::Full(_)) => {
                 inner.metrics.rejected_full.fetch_add(1, Ordering::Relaxed);
@@ -705,7 +672,7 @@ fn batcher_main(inner: Arc<Inner>) {
                 if let Err(PushError::Closed(batch)) = inner.dispatch.push(batch) {
                     // Dispatch can only close after this thread exits, but
                     // fail the batch defensively rather than dropping it.
-                    fail_batch(&inner, &batch, &ServeError::ShuttingDown);
+                    fail_batch(&inner.metrics, &batch, &ServeError::ShuttingDown);
                     break;
                 }
             }
@@ -761,7 +728,7 @@ fn replica_main(inner: Arc<Inner>, home: usize) {
                 if let Err(payload) = outcome {
                     let err = ServeError::from(HeteroSvdError::worker_panicked(payload.as_ref()));
                     inner.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    fail_batch(&inner, &batch, &err);
+                    fail_batch(&inner.metrics, &batch, &err);
                     inner.replicas_live.fetch_sub(1, Ordering::SeqCst);
                     // Replace the poisoned replica; during shutdown the
                     // replacement drains the closed queue and retires.
@@ -776,17 +743,50 @@ fn replica_main(inner: Arc<Inner>, home: usize) {
     inner.replicas_live.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// Completes every still-pending request of `batch` with `err`.
-fn fail_batch(inner: &Inner, batch: &Batch, err: &ServeError) {
+/// Ends every still-pending request of `batch` with `err`: the one
+/// failure path for a whole batch (accelerator build or run error,
+/// replica panic, closed dispatch).
+fn fail_batch(metrics: &Metrics, batch: &Batch, err: &ServeError) {
     for entry in &batch.entries {
-        if entry.request.state.complete(Err(err.clone())) {
-            inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
-        }
+        entry.request.finish(Err(err.clone()), metrics);
+    }
+}
+
+/// The latency record of `entry`, completing now in a batch of
+/// `batch_size` that a replica started at `exec_started`.
+fn latency(
+    entry: &BatchEntry,
+    exec_started: Instant,
+    batch_size: usize,
+    sim_exec_ps: u64,
+    plan: PlanInfo,
+) -> LatencyRecord {
+    LatencyRecord {
+        queue_wait: entry
+            .picked_at
+            .saturating_duration_since(entry.request.submitted_at),
+        batch_linger: exec_started.saturating_duration_since(entry.picked_at),
+        sim_exec_ps,
+        batch_size,
+        wall_total: entry.request.submitted_at.elapsed(),
+        plan,
+    }
+}
+
+/// The configured plan at `generation`: the plan the service starts
+/// on, and the attribution of work that never touches the accelerator
+/// array (apply batches and host-only update routes), whatever the live
+/// decompose plan is.
+fn base_plan(config: &ServeConfig, generation: u64) -> PlanInfo {
+    PlanInfo {
+        engine_parallelism: config.engine_parallelism,
+        task_parallelism: config.task_parallelism,
+        generation,
     }
 }
 
 /// Runs one batch on this replica: last-moment lifecycle checks, then
-/// the decompose or apply execution path for the batch's key.
+/// the decompose, apply or update execution path for the batch's key.
 fn execute_batch(
     inner: &Inner,
     accelerators: &mut HashMap<AcceleratorKey, (Accelerator, PlanInfo)>,
@@ -794,41 +794,20 @@ fn execute_batch(
     exec_started: Instant,
     plan: PlanInfo,
 ) {
-    // Last-moment lifecycle checks: cancelled or expired requests are
-    // completed here and excluded from the run.
+    // Second drop point, distinct from the batcher's pickup check: a
+    // request cancelled, or whose deadline passed while the batch was
+    // forming or waiting for a replica, ends here and leaves the batch.
+    // Counting the two timeout points apart tells an operator whether to
+    // shrink the linger or add replicas.
     let now = Instant::now();
-    let mut live: Vec<usize> = Vec::with_capacity(batch.entries.len());
-    for (idx, entry) in batch.entries.iter().enumerate() {
-        if entry.request.state.is_cancelled() {
-            if entry.request.state.complete(Err(ServeError::Cancelled)) {
-                inner.metrics.record_cancelled(entry.request.request_type());
-            }
-        } else if entry.request.deadline_elapsed(now) {
-            // Second drop point, distinct from the batcher's pickup
-            // check: the deadline passed while the batch was forming or
-            // waiting for a replica. Counting it separately tells an
-            // operator whether to shrink the linger or add replicas.
-            if entry
-                .request
-                .state
-                .complete(Err(ServeError::DeadlineExceeded))
-            {
-                inner
-                    .metrics
-                    .record_timed_out_exec(entry.request.request_type());
-            }
-        } else {
-            live.push(idx);
-        }
-    }
-    if live.is_empty() {
+    batch
+        .entries
+        .retain(|entry| !entry.request.end_if_dead(now, true, &inner.metrics));
+    if batch.entries.is_empty() {
         return;
     }
-    if let Some(&pill) = live.iter().find(|&&i| batch.entries[i].request.poison) {
-        panic!(
-            "poison pill {} detonated in replica",
-            batch.entries[pill].request.id
-        );
+    if let Some(pill) = batch.entries.iter().find(|entry| entry.request.poison) {
+        panic!("poison pill {} detonated in replica", pill.request.id);
     }
 
     inner
@@ -836,36 +815,18 @@ fn execute_batch(
         .batches_dispatched
         .fetch_add(1, Ordering::Relaxed);
     match batch.key {
-        crate::request::BatchKey::Decompose { rows, cols } => {
-            execute_decompose(
-                inner,
-                accelerators,
-                batch,
-                &live,
-                exec_started,
-                (rows, cols),
-                plan,
-            );
+        BatchKey::Decompose { rows, cols } => {
+            execute_decompose(inner, accelerators, batch, exec_started, (rows, cols), plan);
         }
-        crate::request::BatchKey::Apply { .. } => {
-            execute_apply(inner, batch, &live, exec_started, plan);
-        }
-        crate::request::BatchKey::Update { rows, cols } => {
-            execute_update(
-                inner,
-                accelerators,
-                batch,
-                &live,
-                exec_started,
-                (rows, cols),
-                plan,
-            );
+        BatchKey::Apply { .. } => execute_apply(inner, batch, exec_started, plan),
+        BatchKey::Update { rows, cols } => {
+            execute_update(inner, accelerators, batch, exec_started, (rows, cols), plan);
         }
     }
 }
 
 /// Runs one shape-uniform decompose batch on this replica's accelerator,
-/// charging each request the shared Eq. (14) system time. Each live
+/// charging each request the shared Eq. (14) system time. Each
 /// request's matrix is *moved* into the accelerator (zero-copy) — except
 /// a publish request's, which is cloned first because truncation may
 /// need the original to recover `V` — while the entry itself stays
@@ -875,11 +836,11 @@ fn execute_decompose(
     inner: &Inner,
     accelerators: &mut HashMap<AcceleratorKey, (Accelerator, PlanInfo)>,
     batch: &mut Batch,
-    live: &[usize],
     exec_started: Instant,
     shape: (usize, usize),
     plan: PlanInfo,
 ) {
+    let size = batch.entries.len();
     // Packing decision: a same-shape batch of w >= 2 small problems
     // executes as one wave of w co-resident tenants on disjoint
     // sub-grids. Any failure along the packed path (config, placement,
@@ -887,7 +848,7 @@ fn execute_decompose(
     // rather than failing the batch.
     let mut tenants = inner
         .config
-        .packed_tenants_at(shape, live.len(), plan.engine_parallelism);
+        .packed_tenants_at(shape, size, plan.engine_parallelism);
     if tenants >= 2
         && (plan_wave_placement(inner, shape, tenants, plan).is_none()
             || cached_accelerator(accelerators, inner, shape, tenants, plan).is_err())
@@ -897,123 +858,79 @@ fn execute_decompose(
     let (accelerator, plan_info) =
         match cached_accelerator(accelerators, inner, shape, tenants, plan) {
             Ok(pair) => pair,
-            Err(e) => {
-                let err = ServeError::from(e);
-                for &i in live {
-                    if batch.entries[i].request.state.complete(Err(err.clone())) {
-                        inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                return;
-            }
+            Err(e) => return fail_batch(&inner.metrics, batch, &ServeError::from(e)),
         };
     if tenants >= 2 {
-        inner.metrics.record_packed(live.len() as u64);
+        inner.metrics.record_packed(size as u64);
     }
 
     // Move each matrix out of its entry instead of cloning it (the old
     // path copied rows × cols × 8 bytes per request per batch). The
     // empty placeholder does not allocate. Publish requests keep a copy
     // of the original: `SvdResult::truncate` recovers V from it.
-    let mut matrices: Vec<Matrix<f32>> = Vec::with_capacity(live.len());
-    let mut publishes: Vec<Option<(PublishSpec, Matrix<f32>)>> = Vec::with_capacity(live.len());
-    for &i in live {
-        match &mut batch.entries[i].request.payload {
-            Payload::Decompose {
-                matrix, publish, ..
-            } => {
-                let m = std::mem::replace(matrix, Matrix::zeros(0, 0));
-                publishes.push(publish.map(|spec| (spec, m.clone())));
-                matrices.push(m);
+    let mut matrices: Vec<Matrix<f32>> = Vec::with_capacity(size);
+    let mut publishes: Vec<Option<(PublishSpec, Matrix<f32>)>> = Vec::with_capacity(size);
+    for entry in &mut batch.entries {
+        let Payload::Decompose {
+            matrix, publish, ..
+        } = &mut entry.request.payload
+        else {
+            unreachable!("non-decompose request in a decompose batch")
+        };
+        let m = std::mem::replace(matrix, Matrix::zeros(0, 0));
+        publishes.push(publish.map(|spec| (spec, m.clone())));
+        matrices.push(m);
+    }
+    let (outputs, system_time) = match accelerator.run_many_f32(matrices) {
+        Ok(run) => run,
+        Err(e) => return fail_batch(&inner.metrics, batch, &ServeError::from(e)),
+    };
+    if inner.config.observability {
+        obs::global().record(
+            Stage::ReplicaExec,
+            None,
+            exec_started.elapsed(),
+            Some(system_time),
+        );
+        // Merge each run's utilization into the per-shape aggregate:
+        // horizons and busy times add, so the busy fractions stay
+        // per-run averages.
+        let mut batch_util: Option<UtilizationReport> = None;
+        for output in &outputs {
+            if let Some(util) = output.utilization.as_ref() {
+                match batch_util.as_mut() {
+                    Some(acc) => acc.merge(util),
+                    None => batch_util = Some(util.clone()),
+                }
             }
-            _ => unreachable!("non-decompose request in a decompose batch"),
+        }
+        if let Some(util) = batch_util {
+            merge_shape_utilization(inner, shape, util);
         }
     }
-    match accelerator.run_many_f32(matrices) {
-        Ok((outputs, system_time)) => {
-            if inner.config.observability {
-                obs::global().record(
-                    Stage::ReplicaExec,
-                    None,
-                    exec_started.elapsed(),
-                    Some(system_time),
-                );
-                // Merge each run's utilization into the per-shape
-                // aggregate: horizons and busy times add, so the busy
-                // fractions stay per-run averages.
-                let mut batch_util: Option<UtilizationReport> = None;
-                for output in &outputs {
-                    if let Some(util) = output.utilization.as_ref() {
-                        match batch_util.as_mut() {
-                            Some(acc) => acc.merge(util),
-                            None => batch_util = Some(util.clone()),
-                        }
-                    }
-                }
-                if let Some(util) = batch_util {
-                    merge_shape_utilization(inner, shape, util);
-                }
+    for ((entry, output), publish) in batch.entries.iter().zip(outputs).zip(publishes) {
+        // Publish before finishing so a caller that waits on the publish
+        // handle observes the new version.
+        let published = match publish {
+            Some((spec, original)) => {
+                output
+                    .result
+                    .truncate(&original, spec.rank)
+                    .map(|truncated| {
+                        inner.store.publish(spec.model, truncated);
+                    })
             }
-            for ((&i, output), publish) in live.iter().zip(outputs).zip(publishes) {
-                let entry = &batch.entries[i];
-                // Publish before completing the handle so a caller that
-                // waits on the publish handle observes the new version.
-                let mut publish_err = None;
-                if let Some((spec, original)) = publish {
-                    match output.result.truncate(&original, spec.rank) {
-                        Ok(truncated) => {
-                            inner.store.publish(spec.model, truncated);
-                        }
-                        Err(e) => publish_err = Some(e),
-                    }
-                }
-                if let Some(e) = publish_err {
-                    let err = ServeError::from(HeteroSvdError::Numeric(e));
-                    if entry.request.state.complete(Err(err)) {
-                        inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    continue;
-                }
-                let latency = LatencyRecord {
-                    queue_wait: entry
-                        .picked_at
-                        .saturating_duration_since(entry.request.submitted_at),
-                    batch_linger: exec_started.saturating_duration_since(entry.picked_at),
-                    sim_exec_ps: system_time.0,
-                    batch_size: live.len(),
-                    wall_total: entry.request.submitted_at.elapsed(),
-                    plan: plan_info,
-                };
-                let response = SvdResponse {
-                    id: entry.request.id,
-                    output,
-                    latency,
-                };
-                // Record before completing: complete() wakes the waiter,
-                // and a caller snapshotting metrics right after wait()
-                // must observe its own completion. A live entry has no
-                // other completer (the batcher only completes requests it
-                // never dispatched), so this replica always wins.
-                inner
-                    .metrics
-                    .record_completed(RequestType::Decompose, entry.request.class);
-                inner.metrics.record_latency(
-                    &latency,
-                    RequestType::Decompose,
-                    Some(shape),
-                    entry.request.class,
-                );
-                entry.request.state.complete(Ok(Completion::Svd(response)));
-            }
-        }
-        Err(e) => {
-            let err = ServeError::from(e);
-            for &i in live {
-                if batch.entries[i].request.state.complete(Err(err.clone())) {
-                    inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+            None => Ok(()),
+        };
+        let result = match published {
+            Ok(()) => Ok(Completion::Svd(SvdResponse {
+                id: entry.request.id,
+                latency: latency(entry, exec_started, size, system_time.0, plan_info),
+                output,
+            })),
+            Err(e) => Err(ServeError::from(HeteroSvdError::Numeric(e))),
+        };
+        entry.request.finish(result, &inner.metrics);
     }
 }
 
@@ -1022,14 +939,9 @@ fn execute_decompose(
 /// product (no accelerator involvement, no factor copies), and every
 /// request is charged the modeled Eq. 8–14 apply-pipeline system time
 /// `⌈B / P_task⌉ · max_entry(t_apply)` from the replayed profile cache.
-fn execute_apply(
-    inner: &Inner,
-    batch: &mut Batch,
-    live: &[usize],
-    exec_started: Instant,
-    plan: PlanInfo,
-) {
-    let factors: Arc<PublishedFactors> = match &batch.entries[live[0]].request.payload {
+fn execute_apply(inner: &Inner, batch: &Batch, exec_started: Instant, plan: PlanInfo) {
+    let size = batch.entries.len();
+    let factors: Arc<PublishedFactors> = match &batch.entries[0].request.payload {
         Payload::Apply { factors, .. } => Arc::clone(factors),
         _ => unreachable!("non-apply request in an apply batch"),
     };
@@ -1039,12 +951,12 @@ fn execute_apply(
     // (shape, rank)) and the exact rank-r products.
     let mut worst_timing: Option<heterosvd::ApplyTiming> = None;
     let mut batch_util: Option<UtilizationReport> = None;
-    let mut results: Vec<Option<(usize, Vec<f32>)>> = Vec::with_capacity(live.len());
-    for &i in live {
-        let (x, rank) = match &batch.entries[i].request.payload {
-            Payload::Apply { x, rank, .. } => (x, *rank),
-            _ => unreachable!("non-apply request in an apply batch"),
+    let mut results: Vec<Result<(usize, Vec<f32>), ServeError>> = Vec::with_capacity(size);
+    for entry in &batch.entries {
+        let Payload::Apply { x, rank, .. } = &entry.request.payload else {
+            unreachable!("non-apply request in an apply batch")
         };
+        let rank = *rank;
         let outcome = ApplyShape::new(meta.rows, meta.cols, rank)
             .map_err(ServeError::from)
             .and_then(|shape| {
@@ -1073,21 +985,12 @@ fn execute_apply(
                     .apply_rank(x, rank)
                     .map_err(|e| ServeError::from(HeteroSvdError::Numeric(e)))
             });
-        match outcome {
-            Ok(y) => results.push(Some((rank, y))),
-            Err(err) => {
-                if batch.entries[i].request.state.complete(Err(err)) {
-                    inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                }
-                results.push(None);
-            }
-        }
+        results.push(outcome.map(|y| (rank, y)));
     }
 
     // Eq. 14 over the batch: the slowest entry's apply time paces each
     // wave of P_task concurrent applies.
-    let system =
-        worst_timing.map(|t| t.system_time(live.len(), inner.apply_model.task_parallelism()));
+    let system = worst_timing.map(|t| t.system_time(size, inner.apply_model.task_parallelism()));
     let system_ps = system.map_or(0, |t| t.0);
     if inner.config.observability {
         obs::global().record(Stage::Apply, None, exec_started.elapsed(), system);
@@ -1096,82 +999,53 @@ fn execute_apply(
         }
     }
 
-    // Second pass: complete with the shared batch system time.
-    for (&i, result) in live.iter().zip(results) {
-        let Some((rank, y)) = result else { continue };
-        let entry = &batch.entries[i];
-        let latency = LatencyRecord {
-            queue_wait: entry
-                .picked_at
-                .saturating_duration_since(entry.request.submitted_at),
-            batch_linger: exec_started.saturating_duration_since(entry.picked_at),
-            sim_exec_ps: system_ps,
-            batch_size: live.len(),
-            wall_total: entry.request.submitted_at.elapsed(),
-            // Apply never touches the accelerator array: its pipeline is
-            // modeled from the frozen base config, whatever the live
-            // decompose plan is.
-            plan: PlanInfo {
-                engine_parallelism: inner.config.engine_parallelism,
-                task_parallelism: inner.config.task_parallelism,
-                generation: plan.generation,
-            },
-        };
-        let response = crate::request::ApplyResponse {
-            id: entry.request.id,
-            model: factors.model,
-            version: factors.version,
-            rank,
-            y,
-            meta,
-            latency,
-        };
-        // Record before completing (see execute_decompose): the waiter
-        // wakes on complete() and may snapshot metrics immediately.
-        inner
-            .metrics
-            .record_completed(RequestType::Apply, entry.request.class);
-        inner
-            .metrics
-            .record_latency(&latency, RequestType::Apply, None, entry.request.class);
-        entry
-            .request
-            .state
-            .complete(Ok(Completion::Apply(response)));
+    // Second pass: finish every request with the shared batch system
+    // time, under the base plan (apply never touches the array).
+    let plan = base_plan(&inner.config, plan.generation);
+    for (entry, result) in batch.entries.iter().zip(results) {
+        let result = result.map(|(rank, y)| {
+            Completion::Apply(ApplyResponse {
+                id: entry.request.id,
+                model: factors.model,
+                version: factors.version,
+                rank,
+                y,
+                meta,
+                latency: latency(entry, exec_started, size, system_ps, plan),
+            })
+        });
+        entry.request.finish(result, &inner.metrics);
     }
 }
 
 /// Runs one shape-uniform update batch. Unlike decompose there is no
-/// shared accelerator run: each live request rides its own client's
-/// cached basis along the route pinned at admission, so requests
-/// execute independently — a warm-started solve through this replica's
+/// shared accelerator run: each request rides its own client's cached
+/// basis along the route pinned at admission, so requests execute
+/// independently — a warm-started solve through this replica's
 /// accelerator, a host-only low-rank bump, or a full recompute.
 fn execute_update(
     inner: &Inner,
     accelerators: &mut HashMap<AcceleratorKey, (Accelerator, PlanInfo)>,
     batch: &mut Batch,
-    live: &[usize],
     exec_started: Instant,
     shape: (usize, usize),
     plan: PlanInfo,
 ) {
-    for &i in live {
-        let (matrix, client, cached, class) = match &mut batch.entries[i].request.payload {
-            Payload::Update {
-                matrix,
-                client,
-                entry,
-                class,
-                ..
-            } => (
-                // Moved, never cloned — same discipline as decompose.
-                std::mem::replace(matrix, Matrix::zeros(0, 0)),
-                *client,
-                entry.take(),
-                class.take(),
-            ),
-            _ => unreachable!("non-update request in an update batch"),
+    let size = batch.entries.len();
+    for entry in &mut batch.entries {
+        let Payload::Update {
+            matrix,
+            client,
+            entry: cached,
+            class,
+            ..
+        } = &mut entry.request.payload
+        else {
+            unreachable!("non-update request in an update batch")
         };
+        // Moved, never cloned — same discipline as decompose.
+        let matrix = std::mem::replace(matrix, Matrix::zeros(0, 0));
+        let (client, cached, class) = (*client, cached.take(), class.take());
         let route = class
             .as_ref()
             .map_or(UpdateRoute::Full(FallbackReason::ColdStart), |c| c.route);
@@ -1187,72 +1061,41 @@ fn execute_update(
             class,
             plan,
         );
-        let entry = &batch.entries[i];
-        match outcome {
-            Ok((sigma, output, modeled, plan_info)) => {
-                match route {
-                    UpdateRoute::WarmStart => inner.metrics.record_warm_start_hit(),
-                    UpdateRoute::LowRank { .. } => inner.metrics.record_lowrank_hit(),
-                    // Cold-start fulls are cache misses, not staleness;
-                    // only classification-driven fallbacks count here.
-                    UpdateRoute::Full(FallbackReason::ColdStart) => {}
-                    UpdateRoute::Full(_) => inner.metrics.record_staleness_fallback(),
-                }
-                if inner.config.observability {
-                    obs::global().record(
-                        Stage::Update,
-                        Some(entry.request.id.0),
-                        started.elapsed(),
-                        modeled,
-                    );
-                    if let Some(util) = output.as_ref().and_then(|o| o.utilization.as_ref()) {
-                        merge_shape_utilization(inner, shape, util.clone());
-                    }
-                }
-                let latency = LatencyRecord {
-                    queue_wait: entry
-                        .picked_at
-                        .saturating_duration_since(entry.request.submitted_at),
-                    batch_linger: exec_started.saturating_duration_since(entry.picked_at),
-                    // 0 for the host-only low-rank route: no modeled
-                    // accelerator time exists (that's the speedup).
-                    sim_exec_ps: modeled.map_or(0, |t| t.0),
-                    batch_size: live.len(),
-                    wall_total: entry.request.submitted_at.elapsed(),
-                    plan: plan_info,
-                };
-                let warm_start = output.as_ref().and_then(|o| o.warm_start);
-                let response = UpdateResponse {
-                    id: entry.request.id,
-                    client,
-                    route,
-                    delta_rel,
-                    sigma,
-                    output,
-                    warm_start,
-                    latency,
-                };
-                // Record before completing (see execute_decompose).
-                inner
-                    .metrics
-                    .record_completed(RequestType::Update, entry.request.class);
-                inner.metrics.record_latency(
-                    &latency,
-                    RequestType::Update,
-                    Some(shape),
-                    entry.request.class,
+        let result = outcome.map(|(sigma, output, modeled, plan_info)| {
+            match route {
+                UpdateRoute::WarmStart => inner.metrics.record_warm_start_hit(),
+                UpdateRoute::LowRank { .. } => inner.metrics.record_lowrank_hit(),
+                // Cold-start fulls are cache misses, not staleness;
+                // only classification-driven fallbacks count here.
+                UpdateRoute::Full(FallbackReason::ColdStart) => {}
+                UpdateRoute::Full(_) => inner.metrics.record_staleness_fallback(),
+            }
+            if inner.config.observability {
+                obs::global().record(
+                    Stage::Update,
+                    Some(entry.request.id.0),
+                    started.elapsed(),
+                    modeled,
                 );
-                entry
-                    .request
-                    .state
-                    .complete(Ok(Completion::Update(response)));
-            }
-            Err(err) => {
-                if entry.request.state.complete(Err(err)) {
-                    inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                if let Some(util) = output.as_ref().and_then(|o| o.utilization.as_ref()) {
+                    merge_shape_utilization(inner, shape, util.clone());
                 }
             }
-        }
+            // 0 for the host-only low-rank route: no modeled accelerator
+            // time exists (that's the speedup).
+            let sim_exec_ps = modeled.map_or(0, |t| t.0);
+            Completion::Update(UpdateResponse {
+                id: entry.request.id,
+                client,
+                route,
+                delta_rel,
+                sigma,
+                warm_start: output.as_ref().and_then(|o| o.warm_start),
+                output,
+                latency: latency(entry, exec_started, size, sim_exec_ps, plan_info),
+            })
+        });
+        entry.request.finish(result, &inner.metrics);
     }
 }
 
@@ -1286,11 +1129,7 @@ fn run_update_route(
         .max(1);
     // Host-only routes never touch the accelerator array; their plan
     // attribution is the frozen base plan at the current generation.
-    let host_plan = PlanInfo {
-        engine_parallelism: inner.config.engine_parallelism,
-        task_parallelism: inner.config.task_parallelism,
-        generation: plan.generation,
-    };
+    let host_plan = base_plan(&inner.config, plan.generation);
     let numeric = |e| ServeError::from(HeteroSvdError::Numeric(e));
     match route {
         UpdateRoute::LowRank { rank: 0 } => {
