@@ -1,7 +1,7 @@
 //! Hot-path sweep benchmark: one full orthogonalization sweep of a
-//! 128×128 functional workload per iteration, for the frozen baseline
-//! and the optimized serial/parallel pipelines (the `repro -- hotpath`
-//! emitter measures the 256×256 acceptance workload; this target keeps
+//! 128×128 functional workload per iteration, for the optimized
+//! serial and parallel pipelines (the `repro -- hotpath` emitter
+//! measures the 256×256 acceptance workload; this target keeps
 //! `cargo bench --bench hotpath` fast enough for CI smoke runs).
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -13,9 +13,6 @@ const P_ENG: usize = 4;
 
 fn bench_sweep_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath_sweep_128");
-    group.bench_function("baseline", |b| {
-        b.iter(|| black_box(hotpath::sweep_baseline(N, P_ENG, 1).expect("baseline sweep")))
-    });
     group.bench_function("optimized-serial", |b| {
         b.iter(|| black_box(hotpath::sweep_optimized(N, P_ENG, 1, 1).expect("serial sweep")))
     });

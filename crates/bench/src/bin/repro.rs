@@ -46,6 +46,30 @@ fn persist<T: serde::Serialize>(name: &str, rows: &T) {
     }
 }
 
+/// Persists a report like [`persist`], then writes it to
+/// `BENCH_<bench>.json` at the repo root regardless of `--out` (the
+/// `BENCH_<BENCH>_OUT` environment variable overrides the path). Exits
+/// nonzero when the file cannot be written. Callers emit before they
+/// gate, so a violated gate still leaves its report behind.
+fn emit<T: serde::Serialize>(name: &str, bench: &str, report: &T) {
+    persist(name, report);
+    let path = std::env::var(format!("BENCH_{}_OUT", bench.to_uppercase()))
+        .unwrap_or_else(|_| format!("{}/../../BENCH_{bench}.json", env!("CARGO_MANIFEST_DIR")));
+    match serde_json::to_string_pretty(report) {
+        Ok(json) => {
+            if let Err(e) = std::fs::write(&path, json + "\n") {
+                eprintln!("cannot write {path}: {e}");
+                std::process::exit(1);
+            }
+            println!("[wrote {path}]");
+        }
+        Err(e) => {
+            eprintln!("cannot serialize {name} report: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -221,26 +245,7 @@ fn run_update(quick: bool) {
             r.cache_hit_rate_window * 100.0
         );
     }
-    persist("update", &report);
-
-    // The emitter proper: BENCH_update.json at the repo root seeds the
-    // perf trajectory regardless of `--out`.
-    let path = std::env::var("BENCH_UPDATE_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_update.json").to_string()
-    });
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("[wrote {path}]");
-        }
-        Err(e) => {
-            eprintln!("cannot serialize update report: {e}");
-            std::process::exit(1);
-        }
-    }
+    emit("update", "update", &report);
 
     // Gates: quick (CI smoke) enforces the exactness criteria only; the
     // full run additionally enforces the 5x speedup floor at n=512.
@@ -298,26 +303,7 @@ fn run_pack(quick: bool) {
             if r.replay_invariant { "ok" } else { "FAIL" }
         );
     }
-    persist("pack", &report);
-
-    // The emitter proper: BENCH_pack.json at the repo root seeds the
-    // perf trajectory regardless of `--out`.
-    let path = std::env::var("BENCH_PACK_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pack.json").to_string()
-    });
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("[wrote {path}]");
-        }
-        Err(e) => {
-            eprintln!("cannot serialize pack report: {e}");
-            std::process::exit(1);
-        }
-    }
+    emit("pack", "pack", &report);
 
     // Gates: nonzero exit on any violated packing acceptance criterion
     // (speedup floors, bit-identity, replay invariance, packed waves).
@@ -383,26 +369,7 @@ fn run_apply(quick: bool) {
         "exactness: max |served - direct| = {:e}, modeled timing replay-identical: {}",
         report.max_abs_delta, report.replay_identical
     );
-    persist("apply", &report);
-
-    // The emitter proper: BENCH_apply.json at the repo root seeds the
-    // perf trajectory regardless of `--out`.
-    let path = std::env::var("BENCH_APPLY_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_apply.json").to_string()
-    });
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("[wrote {path}]");
-        }
-        Err(e) => {
-            eprintln!("cannot serialize apply report: {e}");
-            std::process::exit(1);
-        }
-    }
+    emit("apply", "apply", &report);
 
     // Gates: the binary exits nonzero on any violated serving
     // acceptance criterion (speedup floor, mix, hit rate, exactness).
@@ -480,26 +447,7 @@ fn run_adaptive(quick: bool) {
             );
         }
     }
-    persist("adaptive", &report);
-
-    // The emitter proper: BENCH_adaptive.json at the repo root seeds the
-    // perf trajectory regardless of `--out`.
-    let path = std::env::var("BENCH_ADAPTIVE_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_adaptive.json").to_string()
-    });
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("[wrote {path}]");
-        }
-        Err(e) => {
-            eprintln!("cannot serialize adaptive report: {e}");
-            std::process::exit(1);
-        }
-    }
+    emit("adaptive", "adaptive", &report);
 
     // Gates: quick (CI smoke) requires no regression at n=256; the full
     // run additionally enforces the 1.8x speedup floor at n=512.
@@ -513,7 +461,7 @@ fn run_adaptive(quick: bool) {
 }
 
 fn run_serve(quick: bool) {
-    println!("\n=== Serving path: requests/sec, baseline vs optimized (256x256, P_eng=4, timing-only, 6 iterations) ===");
+    println!("\n=== Serving path: requests/sec (256x256, P_eng=4, timing-only, 6 iterations) ===");
     let requests = if quick { 32 } else { 128 };
     let mut report = match serve::run(256, 4, 4, 8, 6, requests) {
         Ok(report) => report,
@@ -542,26 +490,16 @@ fn run_serve(quick: bool) {
     // classes separately, so packed-vs-sequential runs stay comparable
     // per class even under mixed traffic.
     for r in &report.results {
-        if let (Some(w), Some(d), Some(a)) = (
+        println!(
+            "{:>12} | windowed req/s: {:.1} total, {:.1} decompose, {:.1} apply | packed: {} batches / {} requests",
+            r.variant,
             r.requests_per_sec_window,
             r.decompose_rps_window,
             r.apply_rps_window,
-        ) {
-            println!(
-                "{:>12} | windowed req/s: {:.1} total, {:.1} decompose, {:.1} apply | packed: {} batches / {} requests",
-                r.variant,
-                w,
-                d,
-                a,
-                r.packed_batches.unwrap_or(0),
-                r.packed_requests.unwrap_or(0)
-            );
-        }
+            r.packed_batches,
+            r.packed_requests
+        );
     }
-    println!(
-        "throughput speedup vs baseline: {:.2}x (batch {}, {} iterations/request)",
-        report.speedup, report.max_batch, report.iterations
-    );
 
     // Shape-classed scheduler A/B: the identical 95:5 two-shape bursty
     // trace through shape-blind FIFO and through the EDF shape-classed
@@ -607,26 +545,7 @@ fn run_serve(quick: bool) {
     );
     let multishape_violations = multishape.gate_violations.clone();
     report.multishape = Some(multishape);
-    persist("serve", &report);
-
-    // The emitter proper: BENCH_serve.json at the repo root seeds the
-    // perf trajectory regardless of `--out`.
-    let path = std::env::var("BENCH_SERVE_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json").to_string()
-    });
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("[wrote {path}]");
-        }
-        Err(e) => {
-            eprintln!("cannot serialize serve report: {e}");
-            std::process::exit(1);
-        }
-    }
+    emit("serve", "serve", &report);
 
     // Self-gate: the classed scheduler must actually buy the rare class
     // its tail without giving up the dominant class's throughput, and
@@ -640,9 +559,7 @@ fn run_serve(quick: bool) {
 }
 
 fn run_hotpath(quick: bool) {
-    println!(
-        "\n=== Hot path: orthogonalization sweep, baseline vs optimized (256x256, P_eng=4) ==="
-    );
+    println!("\n=== Hot path: orthogonalization sweep (256x256, P_eng=4) ===");
     let sweeps = if quick { 2 } else { 5 };
     let report = match hotpath::run(256, 4, sweeps, &|| ALLOC.count()) {
         Ok(report) => report,
@@ -666,15 +583,6 @@ fn run_hotpath(quick: bool) {
             r.checksum
         );
     }
-    println!(
-        "speedup vs baseline: {:.2}x serial, {} parallel ({} passes/sweep, {} measured sweeps)",
-        report.speedup_serial,
-        report
-            .speedup_parallel
-            .map_or_else(|| report.parallel_status.clone(), |s| format!("{s:.2}x")),
-        report.passes_per_sweep,
-        report.measured_sweeps
-    );
     if report.parallel_auto_degraded {
         println!(
             "optimized-parallel skipped (degraded): host reports {} hardware thread(s), a \
@@ -682,26 +590,7 @@ fn run_hotpath(quick: bool) {
             report.host_parallelism
         );
     }
-    persist("hotpath", &report);
-
-    // The emitter proper: BENCH_hotpath.json at the repo root seeds the
-    // perf trajectory regardless of `--out`.
-    let path = std::env::var("BENCH_HOTPATH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json").to_string()
-    });
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("[wrote {path}]");
-        }
-        Err(e) => {
-            eprintln!("cannot serialize hotpath report: {e}");
-            std::process::exit(1);
-        }
-    }
+    emit("hotpath", "hotpath", &report);
 }
 
 fn run_table2(sizes: &[usize]) {
@@ -1242,26 +1131,7 @@ fn run_autoscale(quick: bool) {
         report.stationary.engine_parallelism,
         report.stationary.task_parallelism
     );
-    persist("autoscale", &report);
-
-    // The emitter proper: BENCH_dse.json at the repo root seeds the
-    // perf trajectory regardless of `--out`.
-    let path = std::env::var("BENCH_DSE_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dse.json").to_string()
-    });
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("[wrote {path}]");
-        }
-        Err(e) => {
-            eprintln!("cannot serialize autoscale report: {e}");
-            std::process::exit(1);
-        }
-    }
+    emit("autoscale", "dse", &report);
 
     // Gates: nonzero exit on any violated closed-loop criterion. The
     // full trace enforces the 1.3x headline; the quick CI smoke keeps

@@ -1,28 +1,17 @@
-//! Serving-path benchmark: requests/sec through the batch data path,
-//! before and after the PR-3 optimizations.
+//! Serving-path benchmark: requests/sec through the batch data path.
 //!
-//! Two variants push the same request stream (256×256 timing-only
-//! requests, fixed 6 iterations) through the serving stack:
+//! The **optimized** variant pushes a request stream (256×256
+//! timing-only requests, fixed 6 iterations) through the real
+//! [`heterosvd_serve::SvdService`]: f32 cast once at admission,
+//! matrices *moved* into the accelerator, batches run on the persistent
+//! [`heterosvd::BatchPool`], and per-plan timing replay on (the
+//! default).
 //!
-//! * **baseline** — an emulation of the pre-optimization data path,
-//!   frozen here as the measurement reference: requests queue as
-//!   `Matrix<f64>`, `execute_batch` *clones* every matrix out of its
-//!   entry (casting f64→f32 inside the accelerator), each batch spawns
-//!   a fresh scoped thread per matrix, and every request
-//!   re-simulates the full orthogonalization timeline
-//!   (`timing_replay = false`).
-//! * **optimized** — the real [`heterosvd_serve::SvdService`]: f32 cast
-//!   once at admission, matrices *moved* into the accelerator, batches
-//!   run on the persistent [`heterosvd::BatchPool`], and per-plan
-//!   timing replay on (the default).
-//!
-//! Reported per variant: completed requests, wall seconds,
-//! requests/sec, and p50/p99 request wall latency in microseconds. The
-//! report's `speedup` is `optimized.requests_per_sec /
-//! baseline.requests_per_sec`.
+//! Reported: completed requests, wall seconds, requests/sec, and
+//! p50/p99 request wall latency in microseconds.
 
 use crate::workload::{self, TraceEvent};
-use heterosvd::{Accelerator, FidelityMode, HeteroSvdConfig, HeteroSvdError};
+use heterosvd::{Accelerator, FidelityMode, HeteroSvdError};
 use heterosvd_serve::{Percentiles, ServeConfig, SloClass, SubmitOptions, SvdService};
 use std::time::{Duration, Instant};
 use svd_kernels::Matrix;
@@ -30,7 +19,8 @@ use svd_kernels::Matrix;
 /// One measured variant of the serving path.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ServeRow {
-    /// `baseline` or `optimized`.
+    /// Variant name: `optimized`, the one measured variant (CI keys its
+    /// checks on it).
     pub variant: String,
     /// Requests pushed through the variant.
     pub requests: usize,
@@ -47,23 +37,20 @@ pub struct ServeRow {
     /// The service's windowed throughput over exactly the measured
     /// serving interval (completions per second between the snapshot
     /// taken at submission start and the one taken after the last
-    /// completion). `None` for the baseline, which has no service to
-    /// snapshot. Unlike `requests_per_sec`, this excludes the service's
-    /// own startup from the denominator.
-    pub requests_per_sec_window: Option<f64>,
+    /// completion). Unlike `requests_per_sec`, this excludes the
+    /// service's own startup from the denominator.
+    pub requests_per_sec_window: f64,
     /// Windowed decompose-class rate over the same interval (the
     /// service tracks per-type windows; surfacing them here keeps
     /// packed-vs-sequential runs comparable per request class).
-    /// `None` for the baseline.
-    pub decompose_rps_window: Option<f64>,
+    pub decompose_rps_window: f64,
     /// Windowed apply-class rate over the same interval. Zero for this
     /// decompose-only workload, emitted for schema stability.
-    pub apply_rps_window: Option<f64>,
+    pub apply_rps_window: f64,
     /// Batches the service executed as packed multi-tenant waves.
-    /// `None` for the baseline.
-    pub packed_batches: Option<u64>,
-    /// Requests served inside packed waves. `None` for the baseline.
-    pub packed_requests: Option<u64>,
+    pub packed_batches: u64,
+    /// Requests served inside packed waves.
+    pub packed_requests: u64,
 }
 
 /// The complete serving report (serialized to `BENCH_serve.json`).
@@ -75,14 +62,12 @@ pub struct ServeReport {
     pub p_eng: usize,
     /// Task parallelism `P_task` (Eq. 14 divisor).
     pub p_task: usize,
-    /// Largest batch either variant forms.
+    /// Largest batch the service forms.
     pub max_batch: usize,
     /// Fixed iteration count per request.
     pub iterations: usize,
     /// One row per variant.
     pub results: Vec<ServeRow>,
-    /// `optimized.requests_per_sec / baseline.requests_per_sec`.
-    pub speedup: f64,
     /// The shape-classed scheduler A/B on the 95:5 multi-shape bursty
     /// trace. `None` when the multishape experiment was not run.
     pub multishape: Option<MultiShapeReport>,
@@ -153,95 +138,6 @@ fn request_matrix(n: usize, seed: usize) -> Matrix<f64> {
     })
 }
 
-fn row(
-    variant: &str,
-    requests: usize,
-    completed: usize,
-    wall: Duration,
-    wall_us: &mut [u64],
-) -> ServeRow {
-    let secs = wall.as_secs_f64();
-    let pct = Percentiles::from_samples(wall_us);
-    ServeRow {
-        variant: variant.to_string(),
-        requests,
-        completed,
-        wall_secs: secs,
-        requests_per_sec: if secs > 0.0 {
-            completed as f64 / secs
-        } else {
-            0.0
-        },
-        p50_wall_us: pct.p50,
-        p99_wall_us: pct.p99,
-        requests_per_sec_window: None,
-        decompose_rps_window: None,
-        apply_rps_window: None,
-        packed_batches: None,
-        packed_requests: None,
-    }
-}
-
-/// The pre-optimization serving data path, frozen as the baseline: f64
-/// queue entries, a clone per request per batch, a fresh thread per
-/// matrix per batch, and full timeline re-simulation on every request.
-/// Do not optimize — its cost profile IS the measurement.
-fn run_baseline(
-    n: usize,
-    p_eng: usize,
-    p_task: usize,
-    max_batch: usize,
-    iterations: usize,
-    requests: usize,
-) -> Result<ServeRow, HeteroSvdError> {
-    let cfg = HeteroSvdConfig::builder(n, n)
-        .engine_parallelism(p_eng)
-        .task_parallelism(p_task)
-        .fidelity(FidelityMode::TimingOnly)
-        .fixed_iterations(iterations)
-        .timing_replay(false)
-        .build()?;
-    let accelerator = Accelerator::new(cfg)?;
-
-    // The old queue stored the caller's f64 matrices verbatim.
-    let queued: Vec<Matrix<f64>> = (0..requests).map(|i| request_matrix(n, i)).collect();
-    let mut wall_us: Vec<u64> = Vec::with_capacity(requests);
-    let mut completed = 0usize;
-    let start = Instant::now();
-    for batch in queued.chunks(max_batch) {
-        let batch_start = Instant::now();
-        // Clone-per-entry, exactly as the old execute_batch did.
-        let matrices: Vec<Matrix<f64>> = batch.to_vec();
-        // Thread-per-matrix scope, exactly as the old run_many did
-        // (std scoped threads; the old code used the since-removed
-        // crossbeam shim for the same spawn-per-matrix shape).
-        let outputs: Vec<Result<_, HeteroSvdError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = matrices
-                .iter()
-                .map(|m| {
-                    let acc = &accelerator;
-                    scope.spawn(move || acc.run(m))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let batch_wall = batch_start.elapsed();
-        for output in outputs {
-            output?;
-            completed += 1;
-            // Every request in the batch waited for the whole batch.
-            wall_us.push(batch_wall.as_micros() as u64);
-        }
-    }
-    Ok(row(
-        "baseline",
-        requests,
-        completed,
-        start.elapsed(),
-        &mut wall_us,
-    ))
-}
-
 /// The current serving stack end to end.
 fn run_optimized(
     n: usize,
@@ -277,24 +173,36 @@ fn run_optimized(
         completed += 1;
         wall_us.push(response.latency.wall_total.as_micros() as u64);
     }
-    let wall = start.elapsed();
+    let secs = start.elapsed().as_secs_f64();
     let snapshot = service.metrics();
     service.shutdown();
-    let mut measured = row("optimized", requests, completed, wall, &mut wall_us);
-    measured.requests_per_sec_window = Some(snapshot.throughput_rps_window);
-    measured.decompose_rps_window = Some(snapshot.per_type.decompose.throughput_rps_window);
-    measured.apply_rps_window = Some(snapshot.per_type.apply.throughput_rps_window);
-    measured.packed_batches = Some(snapshot.packed_batches);
-    measured.packed_requests = Some(snapshot.packed_requests);
-    Ok(measured)
+    let pct = Percentiles::from_samples(&mut wall_us);
+    Ok(ServeRow {
+        variant: "optimized".to_string(),
+        requests,
+        completed,
+        wall_secs: secs,
+        requests_per_sec: if secs > 0.0 {
+            completed as f64 / secs
+        } else {
+            0.0
+        },
+        p50_wall_us: pct.p50,
+        p99_wall_us: pct.p99,
+        requests_per_sec_window: snapshot.throughput_rps_window,
+        decompose_rps_window: snapshot.per_type.decompose.throughput_rps_window,
+        apply_rps_window: snapshot.per_type.apply.throughput_rps_window,
+        packed_batches: snapshot.packed_batches,
+        packed_requests: snapshot.packed_requests,
+    })
 }
 
-/// Measures both variants on an `n×n` timing-only workload and returns
-/// the report.
+/// Measures the serving stack on an `n×n` timing-only workload and
+/// returns the report.
 ///
 /// # Errors
 ///
-/// Accelerator or service errors from either variant.
+/// Service errors, reported as [`HeteroSvdError::InvalidConfig`].
 pub fn run(
     n: usize,
     p_eng: usize,
@@ -304,22 +212,15 @@ pub fn run(
     requests: usize,
 ) -> Result<ServeReport, HeteroSvdError> {
     assert!(requests > 0, "need at least one request");
-    let baseline = run_baseline(n, p_eng, p_task, max_batch, iterations, requests)?;
     let optimized = run_optimized(n, p_eng, p_task, max_batch, iterations, requests)
         .map_err(|e| HeteroSvdError::InvalidConfig(format!("serving variant failed: {e}")))?;
-    let speedup = if baseline.requests_per_sec > 0.0 {
-        optimized.requests_per_sec / baseline.requests_per_sec
-    } else {
-        f64::NAN
-    };
     Ok(ServeReport {
         n,
         p_eng,
         p_task,
         max_batch,
         iterations,
-        results: vec![baseline, optimized],
-        speedup,
+        results: vec![optimized],
         multishape: None,
     })
 }
@@ -513,33 +414,27 @@ pub fn run_multishape(quick: bool, seed: u64) -> Result<MultiShapeReport, Hetero
 mod tests {
     use super::*;
 
-    /// Both variants complete every request on a small workload and the
+    /// The service completes every request on a small workload and the
     /// report is internally consistent.
     #[test]
     fn small_workload_report_is_consistent() {
         let report = run(32, 2, 2, 4, 3, 8).unwrap();
-        assert_eq!(report.results.len(), 2);
-        for r in &report.results {
-            assert_eq!(r.completed, 8, "{} dropped requests", r.variant);
-            assert!(r.requests_per_sec > 0.0, "{}: zero throughput", r.variant);
-            assert!(r.p99_wall_us >= r.p50_wall_us);
-            match r.variant.as_str() {
-                "optimized" => {
-                    let w = r.requests_per_sec_window.expect("windowed rate present");
-                    assert!(w > 0.0, "windowed rate should cover the serving span");
-                    let d = r.decompose_rps_window.expect("per-type rate present");
-                    assert!(d > 0.0, "decompose-class rate should be nonzero");
-                    assert_eq!(r.apply_rps_window, Some(0.0), "no apply traffic here");
-                    assert!(r.packed_batches.is_some() && r.packed_requests.is_some());
-                }
-                _ => {
-                    assert!(r.requests_per_sec_window.is_none());
-                    assert!(r.decompose_rps_window.is_none());
-                    assert!(r.packed_batches.is_none());
-                }
-            }
-        }
-        assert!(report.speedup.is_finite());
+        assert_eq!(report.results.len(), 1);
+        let r = &report.results[0];
+        assert_eq!(r.variant, "optimized");
+        assert_eq!(r.completed, 8, "dropped requests");
+        assert!(r.requests_per_sec > 0.0, "zero throughput");
+        assert!(r.p99_wall_us >= r.p50_wall_us);
+        assert!(
+            r.requests_per_sec_window > 0.0,
+            "windowed rate should cover the serving span"
+        );
+        assert!(
+            r.decompose_rps_window > 0.0,
+            "decompose-class rate should be nonzero"
+        );
+        assert_eq!(r.apply_rps_window, 0.0, "no apply traffic here");
+        assert!(r.packed_requests >= r.packed_batches);
     }
 
     /// The multi-shape A/B completes the identical trace under both

@@ -299,9 +299,8 @@ impl Accelerator {
     ///
     /// # Errors
     ///
-    /// * [`HeteroSvdError::InvalidConfig`] unless
-    ///   [`HeteroSvdConfig::incremental`] is set, the fidelity is
-    ///   functional, and `v_prev` is square with side `cols`.
+    /// * [`HeteroSvdError::InvalidConfig`] unless the fidelity is
+    ///   functional and `v_prev` is square with side `cols`.
     /// * Whatever [`Accelerator::run_f32`] returns for `B`.
     pub fn run_warm_f32(
         &self,
@@ -309,11 +308,6 @@ impl Accelerator {
         v_prev: &Matrix<f32>,
     ) -> Result<HeteroSvdOutput, HeteroSvdError> {
         let cfg = &self.config;
-        if !cfg.incremental {
-            return Err(HeteroSvdError::InvalidConfig(
-                "warm-started runs require the incremental knob".into(),
-            ));
-        }
         if cfg.fidelity != FidelityMode::Functional {
             return Err(HeteroSvdError::InvalidConfig(
                 "warm-started runs require functional fidelity".into(),
@@ -370,9 +364,7 @@ impl Accelerator {
     /// Factorizes a batch of distinct matrices on the process-wide
     /// [`batch_pool`] (persistent bounded workers instead of one OS
     /// thread per matrix). The batch's *system time* follows Eq. (14) —
-    /// `⌈B / P_task⌉ · t_task` — or its §IV-C overlapped variant when
-    /// [`HeteroSvdConfig::cross_batch_pipelining`] is set; it is
-    /// returned alongside the outputs.
+    /// `⌈B / P_task⌉ · t_task` — and is returned alongside the outputs.
     ///
     /// # Errors
     ///
@@ -416,11 +408,9 @@ impl Accelerator {
             .iter()
             .max_by_key(|o| o.timing.task_time)
             .expect("batch is non-empty");
-        let sys = slowest.timing.system_time_with(
-            num_tasks,
-            self.config.task_parallelism,
-            self.config.cross_batch_pipelining,
-        );
+        let sys = slowest
+            .timing
+            .system_time(num_tasks, self.config.task_parallelism);
         Ok((outputs, sys))
     }
 
@@ -440,8 +430,7 @@ impl Accelerator {
     /// Simulates a batch of `num_tasks` identical tasks: one task is
     /// simulated, then the system time follows Eq. (14)
     /// (`⌈num_tasks/P_task⌉ · t_task` — the `P_task` pipelines are
-    /// independent replicas), or its §IV-C overlapped variant when
-    /// [`HeteroSvdConfig::cross_batch_pipelining`] is set.
+    /// independent replicas).
     ///
     /// Returns the single-task output plus the batch system time.
     pub fn run_batch(
@@ -455,11 +444,9 @@ impl Accelerator {
             ));
         }
         let out = self.run(a)?;
-        let sys = out.timing.system_time_with(
-            num_tasks,
-            self.config.task_parallelism,
-            self.config.cross_batch_pipelining,
-        );
+        let sys = out
+            .timing
+            .system_time(num_tasks, self.config.task_parallelism);
         Ok((out, sys))
     }
 }
@@ -636,22 +623,10 @@ mod tests {
         assert!(acc.run_many(&[]).is_err());
     }
 
-    fn warm_accel(n: usize, p_eng: usize) -> Accelerator {
-        Accelerator::new(
-            HeteroSvdConfig::builder(n, n)
-                .engine_parallelism(p_eng)
-                .incremental(true)
-                .pl_freq_mhz(208.3)
-                .build()
-                .unwrap(),
-        )
-        .unwrap()
-    }
-
     #[test]
     fn warm_start_reuses_basis_and_saves_iterations() {
         let a0 = sample(32);
-        let acc = warm_accel(32, 4);
+        let acc = accel(32, 4);
         let cold = acc.run(&a0).unwrap();
         let v_prev = cold.result.recover_v(&a0.cast()).unwrap();
         // Small perturbation of the same matrix: the cached basis still
@@ -684,25 +659,19 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_requires_knob_fidelity_and_shape() {
+    fn warm_start_requires_fidelity_and_shape() {
         let a: Matrix<f32> = sample(16).cast();
         let eye = Matrix::<f32>::from_fn(16, 16, |r, c| if r == c { 1.0 } else { 0.0 });
-        // Knob off: rejected.
-        assert!(matches!(
-            accel(16, 2).run_warm_f32(&a, &eye),
-            Err(HeteroSvdError::InvalidConfig(_))
-        ));
         // Wrong basis shape: rejected.
         let small = Matrix::<f32>::from_fn(8, 8, |r, c| if r == c { 1.0 } else { 0.0 });
         assert!(matches!(
-            warm_accel(16, 2).run_warm_f32(&a, &small),
+            accel(16, 2).run_warm_f32(&a, &small),
             Err(HeteroSvdError::InvalidConfig(_))
         ));
         // Timing-only fidelity has no factors to warm-start from.
         let timing_only = Accelerator::new(
             HeteroSvdConfig::builder(16, 16)
                 .engine_parallelism(2)
-                .incremental(true)
                 .fidelity(FidelityMode::TimingOnly)
                 .fixed_iterations(4)
                 .pl_freq_mhz(208.3)
@@ -714,20 +683,6 @@ mod tests {
             timing_only.run_warm_f32(&a, &eye),
             Err(HeteroSvdError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn incremental_knob_does_not_change_cold_runs() {
-        // `incremental` is a routing knob: a plain decompose through an
-        // incremental-enabled accelerator must stay bit-identical to
-        // today's path.
-        let a = sample(16);
-        let off = accel(16, 2).run(&a).unwrap();
-        let on = warm_accel(16, 2).run(&a).unwrap();
-        assert_eq!(off.result.u.as_slice(), on.result.u.as_slice());
-        assert_eq!(off.result.sigma, on.result.sigma);
-        assert_eq!(off.timing, on.timing);
-        assert!(on.warm_start.is_none());
     }
 
     #[test]

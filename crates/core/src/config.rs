@@ -79,17 +79,6 @@ pub struct HeteroSvdConfig {
     /// cuts host-side functional compute; singular values stay within
     /// the configured `precision`'s accuracy budget of the exact engine.
     pub adaptive_sweeps: bool,
-    /// Incremental-SVD update paths (default off): permits
-    /// [`crate::Accelerator::run_warm_f32`] to seed the iteration from a
-    /// cached right basis. Functional-only — the knob never changes what
-    /// a cold [`crate::Accelerator::run`] computes (off is bit-identical
-    /// to a build that predates the knob), so it is *not* part of the
-    /// plan-cache fingerprint.
-    pub incremental: bool,
-    /// Model §IV-C cross-batch pipelining in system-time projections:
-    /// after the first wave, each wave's DDR load overlaps the previous
-    /// wave's compute. Default off, preserving Eq. (14) exactness.
-    pub cross_batch_pipelining: bool,
     /// Co-residency class: how many tenant pipelines share the device's
     /// PL/NoC interfaces *concurrently* with this one (default 1 — the
     /// whole-array assumption every pre-packing plan made). Unlike
@@ -187,8 +176,6 @@ pub struct HeteroSvdConfigBuilder {
     functional_parallelism: Option<usize>,
     timing_replay: bool,
     adaptive_sweeps: bool,
-    incremental: bool,
-    cross_batch_pipelining: bool,
     co_residency: usize,
     observability: bool,
     device: DeviceProfile,
@@ -213,8 +200,6 @@ impl HeteroSvdConfigBuilder {
             functional_parallelism: None,
             timing_replay: true,
             adaptive_sweeps: true,
-            incremental: false,
-            cross_batch_pipelining: false,
             co_residency: 1,
             observability: true,
             device: DeviceProfile::VCK190,
@@ -309,22 +294,6 @@ impl HeteroSvdConfigBuilder {
     /// comparisons and for measuring what the gating saves.
     pub fn adaptive_sweeps(mut self, adaptive: bool) -> Self {
         self.adaptive_sweeps = adaptive;
-        self
-    }
-
-    /// Enables the incremental-SVD update paths (default off): permits
-    /// warm-started runs seeded from a cached right basis. Cold runs
-    /// never read the knob, so `incremental(false)` is bit-identical to
-    /// today's path, and the knob never enters the plan-cache key.
-    pub fn incremental(mut self, enabled: bool) -> Self {
-        self.incremental = enabled;
-        self
-    }
-
-    /// Enables the §IV-C cross-batch pipelining overlap term in
-    /// system-time projections (default off: plain Eq. 14).
-    pub fn cross_batch_pipelining(mut self, enabled: bool) -> Self {
-        self.cross_batch_pipelining = enabled;
         self
     }
 
@@ -457,8 +426,6 @@ impl HeteroSvdConfigBuilder {
                 .unwrap_or_else(svd_kernels::parallel::available_workers),
             timing_replay: self.timing_replay,
             adaptive_sweeps: self.adaptive_sweeps,
-            incremental: self.incremental,
-            cross_batch_pipelining: self.cross_batch_pipelining,
             co_residency: self.co_residency,
             observability: self.observability,
             device: self.device,
@@ -605,21 +572,15 @@ mod tests {
         let c = HeteroSvdConfig::builder(128, 128).build().unwrap();
         assert!(c.timing_replay);
         assert!(c.adaptive_sweeps);
-        assert!(!c.incremental);
-        assert!(!c.cross_batch_pipelining);
         assert!(c.observability);
         let c = HeteroSvdConfig::builder(128, 128)
             .timing_replay(false)
             .adaptive_sweeps(false)
-            .incremental(true)
-            .cross_batch_pipelining(true)
             .observability(false)
             .build()
             .unwrap();
         assert!(!c.timing_replay);
         assert!(!c.adaptive_sweeps);
-        assert!(c.incremental);
-        assert!(c.cross_batch_pipelining);
         assert!(!c.observability);
     }
 

@@ -406,9 +406,7 @@ mod tests {
         tweaked.functional_parallelism = 8;
         tweaked.fixed_iterations = Some(3);
         tweaked.timing_replay = false;
-        tweaked.cross_batch_pipelining = true;
         tweaked.adaptive_sweeps = !base.adaptive_sweeps;
-        tweaked.incremental = !base.incremental;
         let a = cache.get_or_build(&base).unwrap();
         let b = cache.get_or_build(&tweaked).unwrap();
         assert!(Arc::ptr_eq(&a, &b));

@@ -56,39 +56,6 @@ impl TimingBreakdown {
         TimePs(self.task_time.0 * waves)
     }
 
-    /// [`TimingBreakdown::system_time`] with §IV-C cross-batch
-    /// pipelining: while a wave computes, the PL passes (prefetches) the
-    /// next wave's blocks from DDR, so every wave after the first hides
-    /// its serialized load and costs only `t_task − t_DDR`:
-    ///
-    /// `t_sys = t_task + (⌈num_tasks / P_task⌉ − 1) · (t_task − t_DDR)`
-    ///
-    /// With `t_DDR = 0` (or one wave) this degenerates to Eq. 14.
-    pub fn system_time_pipelined(&self, num_tasks: usize, p_task: usize) -> TimePs {
-        if num_tasks == 0 {
-            return TimePs::ZERO;
-        }
-        let waves = num_tasks.div_ceil(p_task.max(1)) as u64;
-        let overlap = self.ddr_time.min(self.task_time);
-        TimePs(self.task_time.0 + (waves - 1) * (self.task_time.0 - overlap.0))
-    }
-
-    /// Dispatches between [`TimingBreakdown::system_time`] (Eq. 14
-    /// exact, the default) and [`TimingBreakdown::system_time_pipelined`]
-    /// per the [`crate::HeteroSvdConfig::cross_batch_pipelining`] knob.
-    pub fn system_time_with(
-        &self,
-        num_tasks: usize,
-        p_task: usize,
-        cross_batch_pipelining: bool,
-    ) -> TimePs {
-        if cross_batch_pipelining {
-            self.system_time_pipelined(num_tasks, p_task)
-        } else {
-            self.system_time(num_tasks, p_task)
-        }
-    }
-
     /// Throughput in tasks per second for a batch of `num_tasks` tasks.
     pub fn throughput(&self, num_tasks: usize, p_task: usize) -> f64 {
         let t = self.system_time(num_tasks, p_task).as_secs();
@@ -127,30 +94,6 @@ mod tests {
         assert_eq!(t.system_time(1, 1), TimePs(1800));
         assert_eq!(t.system_time(100, 9), TimePs(1800 * 12)); // ceil(100/9) = 12
         assert_eq!(t.system_time(9, 9), TimePs(1800));
-    }
-
-    #[test]
-    fn pipelined_system_time_hides_ddr_after_first_wave() {
-        let t = sample(); // task 1800, ddr 100
-                          // One wave: both modes agree with a single task time.
-        assert_eq!(t.system_time_pipelined(1, 1), TimePs(1800));
-        assert_eq!(
-            t.system_time_with(1, 1, true),
-            t.system_time_with(1, 1, false)
-        );
-        // Ten waves: Eq. 14 pays 10 full tasks; pipelined hides 9 loads.
-        assert_eq!(t.system_time(10, 1), TimePs(18_000));
-        assert_eq!(t.system_time_pipelined(10, 1), TimePs(1800 + 9 * 1700));
-        // The knob selects between them.
-        assert_eq!(t.system_time_with(10, 1, false), TimePs(18_000));
-        assert_eq!(t.system_time_with(10, 1, true), TimePs(17_100));
-        // Degenerate inputs stay sane.
-        assert_eq!(t.system_time_pipelined(0, 1), TimePs::ZERO);
-        let no_ddr = TimingBreakdown {
-            task_time: TimePs(500),
-            ..Default::default()
-        };
-        assert_eq!(no_ddr.system_time_pipelined(4, 2), no_ddr.system_time(4, 2));
     }
 
     #[test]

@@ -10,8 +10,7 @@ use std::time::Duration;
 /// precision, fidelity) are shared by every replica; each replica builds
 /// one [`heterosvd::Accelerator`] per distinct request shape and reuses
 /// it across batches. Replicas always replay the cached per-plan timing
-/// profile (exact) and charge Eq. (14) without cross-batch pipelining:
-/// the accelerator's defaults for those knobs.
+/// profile (exact, the accelerator's default) and charge Eq. (14).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Number of accelerator replicas (worker threads).
@@ -72,8 +71,8 @@ pub struct ServeConfig {
     /// ([`crate::SvdService::try_submit_update`]) and maintains the
     /// per-client factor cache behind them. Off (the default), the
     /// decompose/apply paths are bit-identical to a build without the
-    /// feature: the knob never enters the plan-cache key, and no cache
-    /// is consulted. Requires [`FidelityMode::Functional`] (warm starts
+    /// feature: the knob never reaches the accelerator config, and no
+    /// cache is consulted. Requires [`FidelityMode::Functional`] (warm starts
     /// need real factors to seed from).
     pub incremental: bool,
     /// Byte budget of the per-client factor cache backing incremental
@@ -399,8 +398,7 @@ impl ServeConfig {
             .precision(self.precision)
             .functional_parallelism(self.functional_parallelism)
             .fidelity(self.fidelity)
-            .observability(self.observability)
-            .incremental(self.incremental);
+            .observability(self.observability);
         if let Some(iters) = self.fixed_iterations {
             builder = builder.fixed_iterations(iters);
         }
@@ -457,18 +455,14 @@ mod tests {
 
     #[test]
     fn incremental_knob_invariants() {
-        let mut c = ServeConfig {
+        let c = ServeConfig {
             incremental: true,
             ..ServeConfig::default()
         };
         c.validate().unwrap();
         assert_eq!(c.staleness_bound().max_delta_rel, c.max_delta_rel);
         assert_eq!(c.staleness_bound().max_warm_solves, c.max_warm_solves);
-        // The knob flows into the accelerator config...
-        assert!(c.accelerator_config((16, 16)).unwrap().incremental);
-        c.incremental = false;
-        assert!(!c.accelerator_config((16, 16)).unwrap().incremental);
-        // ...and requires functional fidelity plus positive bounds.
+        // The knob requires functional fidelity plus positive bounds.
         for mutate in [
             (|c: &mut ServeConfig| {
                 c.fidelity = FidelityMode::TimingOnly;
