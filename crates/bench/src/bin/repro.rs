@@ -514,27 +514,19 @@ fn run_serve(quick: bool) {
         }
     };
     println!(
-        "{:>10} | {:>9} {:>9} | {:>14} {:>14} | {:>12} | {:>6} {:>7}",
-        "scheduler",
-        "dominant",
-        "rare",
-        "dom p99(us)",
-        "rare p99(us)",
-        "dom req/s",
-        "shed",
-        "stolen"
+        "{:>10} | {:>9} {:>9} | {:>14} {:>14} | {:>12} | {:>6}",
+        "scheduler", "dominant", "rare", "dom p99(us)", "rare p99(us)", "dom req/s", "shed"
     );
     for row in &multishape.rows {
         println!(
-            "{:>10} | {:>9} {:>9} | {:>14} {:>14} | {:>12.1} | {:>6} {:>7}",
+            "{:>10} | {:>9} {:>9} | {:>14} {:>14} | {:>12.1} | {:>6}",
             row.scheduler,
             row.dominant_completed,
             row.rare_completed,
             row.dominant_p99_wall_us,
             row.rare_p99_wall_us,
             row.dominant_rps,
-            row.shed,
-            row.batches_stolen
+            row.shed
         );
     }
     println!(

@@ -96,8 +96,6 @@ pub struct MultiShapeRow {
     pub batch_p99_wall_us: u64,
     /// Requests shed or evicted by the overload policy.
     pub shed: u64,
-    /// Batches replicas stole across dispatch sub-pools.
-    pub batches_stolen: u64,
 }
 
 /// A/B report of the shape-classed scheduler on the seeded 95:5
@@ -346,7 +344,6 @@ fn run_multishape_variant(
         interactive_p99_wall_us: snapshot.per_class.interactive.wall_us.p99,
         batch_p99_wall_us: snapshot.per_class.batch.wall_us.p99,
         shed: snapshot.shed,
-        batches_stolen: snapshot.batches_stolen,
     };
     Ok((row, bit_identical))
 }

@@ -59,9 +59,10 @@ pub struct HeteroSvdConfig {
     /// [`crate::orth_pipeline::PassRecord`]); off by default.
     pub record_trace: bool,
     /// Worker threads applying a layer's independent column-pair
-    /// rotations in functional mode (default: the host's available
-    /// parallelism; `1` = fully serial). Results are bit-identical at
-    /// any setting; this knob only changes host-side wall-clock.
+    /// rotations in functional mode (default `1`, fully serial: on a
+    /// 2-vCPU host the pooled path measured 2–3.5× slower than serial
+    /// at 256², `P_eng` 4). Results are bit-identical at any setting;
+    /// this knob only changes host-side wall-clock.
     pub functional_parallelism: usize,
     /// Replay the plan's cached timing profile instead of re-simulating
     /// every `Timeline` (default on). Replay is exact by construction —
@@ -173,7 +174,7 @@ pub struct HeteroSvdConfigBuilder {
     fixed_iterations: Option<usize>,
     fidelity: FidelityMode,
     record_trace: bool,
-    functional_parallelism: Option<usize>,
+    functional_parallelism: usize,
     timing_replay: bool,
     adaptive_sweeps: bool,
     co_residency: usize,
@@ -197,7 +198,7 @@ impl HeteroSvdConfigBuilder {
             fixed_iterations: None,
             fidelity: FidelityMode::Functional,
             record_trace: false,
-            functional_parallelism: None,
+            functional_parallelism: 1,
             timing_replay: true,
             adaptive_sweeps: true,
             co_residency: 1,
@@ -271,10 +272,10 @@ impl HeteroSvdConfigBuilder {
     }
 
     /// Sets the host-side worker count for functional-mode rotations
-    /// (default: available parallelism; `1` = serial). Must be `>= 1`.
-    /// Any setting produces bit-identical results.
+    /// (default `1` = serial). Must be `>= 1`. Any setting produces
+    /// bit-identical results.
     pub fn functional_parallelism(mut self, workers: usize) -> Self {
-        self.functional_parallelism = Some(workers);
+        self.functional_parallelism = workers;
         self
     }
 
@@ -384,7 +385,7 @@ impl HeteroSvdConfigBuilder {
                 "fixed_iterations must be at least 1".into(),
             ));
         }
-        if let Some(0) = self.functional_parallelism {
+        if self.functional_parallelism == 0 {
             return Err(HeteroSvdError::InvalidConfig(
                 "functional_parallelism must be at least 1".into(),
             ));
@@ -421,9 +422,7 @@ impl HeteroSvdConfigBuilder {
             fixed_iterations: self.fixed_iterations,
             fidelity: self.fidelity,
             record_trace: self.record_trace,
-            functional_parallelism: self
-                .functional_parallelism
-                .unwrap_or_else(svd_kernels::parallel::available_workers),
+            functional_parallelism: self.functional_parallelism,
             timing_replay: self.timing_replay,
             adaptive_sweeps: self.adaptive_sweeps,
             co_residency: self.co_residency,
@@ -524,8 +523,10 @@ mod tests {
 
     #[test]
     fn functional_parallelism_defaults_and_validates() {
+        // Serial by default, whatever the host's thread count.
         let c = HeteroSvdConfig::builder(128, 128).build().unwrap();
-        assert!(c.functional_parallelism >= 1);
+        assert_eq!(c.functional_parallelism, 1);
+        assert_eq!(c.effective_functional_workers_on(8), 1);
         let c = HeteroSvdConfig::builder(128, 128)
             .functional_parallelism(3)
             .build()

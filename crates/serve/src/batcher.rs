@@ -1,14 +1,16 @@
 //! Batch formation: every batch key lingers on its own clock.
 //!
 //! Requests stay in the admission [`ClassScheduler`] until their batch
-//! is formed. A key is *due* once it has its batch cap queued, once its
-//! oldest queued request has waited its linger budget (counted from
-//! admission), or once admission closes. The batcher cuts the due key
-//! holding the earliest [`ClassScheduler::order`] — the oldest request
-//! in FIFO mode, the earliest deadline in classed mode — and otherwise
-//! sleeps until the next push or the earliest key deadline. No key
-//! waits out another key's linger, and a due key takes every queued
-//! peer up to its cap.
+//! is formed. An idle replica forms its own next batch, one replica at a
+//! time under the service's formation lock, so a batch is cut only when
+//! a replica can run it. A key is *due* once it has its batch cap
+//! queued, once its oldest queued request has waited its linger budget
+//! (counted from admission), or once admission closes. The replica cuts
+//! the due key holding the earliest [`ClassScheduler::order`] — the
+//! oldest request in FIFO mode, the earliest deadline in classed mode —
+//! and otherwise sleeps until the next push or the earliest key
+//! deadline. No key waits out another key's linger, and a due key takes
+//! every queued peer up to its cap.
 
 use crate::config::ServeConfig;
 use crate::metrics::Metrics;
@@ -17,19 +19,19 @@ use crate::scheduler::ClassScheduler;
 use std::time::{Duration, Instant};
 
 /// How long one formation call waits with nothing due before it
-/// returns [`FormOutcome::Idle`], letting the batcher recheck for
-/// shutdown and run its periodic work.
-pub(crate) const POLL_TICK: Duration = Duration::from_millis(20);
+/// returns [`FormOutcome::Idle`], letting the forming replica run its
+/// periodic work (the load shedder) before it forms again.
+const POLL_TICK: Duration = Duration::from_millis(20);
 
-/// One request inside a formed batch, stamped when the batcher first
-/// saw it queued.
+/// One request inside a formed batch, stamped when a forming replica
+/// first saw it queued.
 pub(crate) struct BatchEntry {
     pub(crate) request: PendingRequest,
     pub(crate) picked_at: Instant,
 }
 
-/// A batch ready for a replica: decompose batches are shape-uniform,
-/// apply batches are (model, version)-uniform.
+/// A batch cut for the replica that formed it: decompose batches are
+/// shape-uniform, apply batches are (model, version)-uniform.
 pub(crate) struct Batch {
     pub(crate) key: BatchKey,
     pub(crate) entries: Vec<BatchEntry>,
@@ -37,12 +39,12 @@ pub(crate) struct Batch {
 
 /// Outcome of one batch-formation attempt.
 pub(crate) enum FormOutcome {
-    /// A batch is ready for dispatch.
+    /// A batch is ready to execute.
     Formed(Batch),
     /// Nothing came due within a poll tick (or the due key held only
     /// cancelled or expired requests); caller decides what next.
     Idle,
-    /// The queue is closed and fully drained; the batcher should exit.
+    /// The queue is closed and fully drained; the replica should retire.
     Drained,
 }
 
@@ -104,8 +106,8 @@ struct KeyState {
     first: Instant,
 }
 
-/// Surveys every queued request — stamping the ones the batcher sees
-/// for the first time — and picks the due key to form: the one holding
+/// Surveys every queued request — stamping the ones a forming replica
+/// sees for the first time — and picks the due key to form: the one holding
 /// the earliest [`ClassScheduler::order`].
 fn next_due(
     admission: &ClassScheduler,
@@ -271,7 +273,7 @@ mod tests {
     }
 
     /// One FIFO formation call under `config`'s own cap and linger, as
-    /// the service's batcher makes it.
+    /// a service replica makes it.
     fn form(queue: &ClassScheduler, config: &ServeConfig, metrics: &Metrics) -> FormOutcome {
         form_batch(queue, config, metrics, &|_, _| {
             (config.max_batch, config.max_linger)
@@ -414,7 +416,7 @@ mod tests {
     /// linger used to ride the formed batch to a replica anyway, where
     /// it burned a batch slot and was miscounted as an exec-side
     /// timeout. The request now lingers in the queue, and the cut must
-    /// drop it batcher-side — here it is the only entry, so the whole
+    /// drop it formation-side — here it is the only entry, so the whole
     /// batch dissolves into `Idle`.
     #[test]
     fn deadline_expiring_during_linger_is_dropped_before_dispatch() {
@@ -433,14 +435,14 @@ mod tests {
         );
         assert_eq!(metrics.total(Outcome::TimedOutAtBatcher), 1);
         assert_eq!(metrics.total(Outcome::TimedOutAtExec), 0);
-        // The request was completed with the timeout by the batcher.
+        // The request was completed with the timeout by the cut.
         assert!(!state.fail(ServeError::DeadlineExceeded));
     }
 
     #[test]
     fn linger_wakes_promptly_on_new_arrival() {
         // With a 10 s linger the key only comes due when the second
-        // request fills it; the batcher must wake on that push instead
+        // request fills it; formation must wake on that push instead
         // of sleeping out the linger (generous bound for loaded CI
         // machines).
         let queue = Arc::new(fifo(8));
@@ -464,7 +466,7 @@ mod tests {
         assert_eq!(batch.entries.len(), 2);
         assert!(
             start.elapsed() < Duration::from_secs(2),
-            "batch took {:?}; the batcher slept through the arrival",
+            "batch took {:?}; formation slept through the arrival",
             start.elapsed()
         );
     }

@@ -18,7 +18,7 @@ pub struct ServeConfig {
     /// Bound of the admission queue; `try_submit` returns
     /// [`ServeError::QueueFull`] beyond it.
     pub queue_capacity: usize,
-    /// Largest batch the dynamic batcher forms.
+    /// Largest batch a replica forms.
     pub max_batch: usize,
     /// Longest a request waits for batch-mates, counted from its
     /// admission: each batch key lingers on its own clock and is formed
@@ -32,13 +32,6 @@ pub struct ServeConfig {
     pub task_parallelism: usize,
     /// Convergence precision forwarded to the accelerator.
     pub precision: f64,
-    /// Host-side worker threads each replica applies to a layer's
-    /// independent rotations (forwarded to
-    /// [`heterosvd::HeteroSvdConfig::functional_parallelism`]). Default
-    /// 1: replicas and per-matrix batch threads already parallelize
-    /// across requests, so nesting more threads usually oversubscribes.
-    /// Results are bit-identical at any setting.
-    pub functional_parallelism: usize,
     /// Fixed iteration count (None = adaptive convergence).
     pub fixed_iterations: Option<usize>,
     /// Whether replicas compute real factorizations or timing only.
@@ -121,18 +114,17 @@ pub struct ServeConfig {
     /// a swap.
     pub autoscale_improvement: f64,
     /// The admission scheduler's mode. On, it serves requests by
-    /// effective deadline: earliest-deadline-first batch formation, EDF
-    /// eviction under a full queue, per-class batch/linger policy,
-    /// work-stealing dispatch sub-pools, and windowed load shedding.
-    /// Off (the default), it serves them in admission order: the oldest
-    /// due key forms first, a full queue refuses every push, every class
-    /// gets the configured batch/linger budget, dispatch is one FIFO
-    /// pool, and nothing is shed. Factor outputs are bit-identical
-    /// either way — the mode only decides *when* requests execute,
-    /// never what they compute.
+    /// effective deadline: earliest-deadline-first batch formation (any
+    /// idle replica cuts the most urgent due key), EDF eviction under a
+    /// full queue, per-class batch/linger policy, and windowed load
+    /// shedding. Off (the default), it serves them in admission order:
+    /// the oldest due key forms first, a full queue refuses every push,
+    /// every class gets the configured batch/linger budget, and nothing
+    /// is shed. Factor outputs are bit-identical either way — the mode
+    /// only decides *when* requests execute, never what they compute.
     pub shape_classed: bool,
     /// Load-shedding trigger: when the windowed fraction of admitted
-    /// requests that time out (batcher- plus exec-side) exceeds this,
+    /// requests that time out (formation- plus exec-side) exceeds this,
     /// the service sheds Batch-class traffic with
     /// [`ServeError::Overloaded`]; past twice this, Standard sheds too.
     /// The level decays once the fraction falls below half the
@@ -150,7 +142,6 @@ impl Default for ServeConfig {
             engine_parallelism: 2,
             task_parallelism: 4,
             precision: 1e-6,
-            functional_parallelism: 1,
             fixed_iterations: None,
             fidelity: FidelityMode::Functional,
             observability: true,
@@ -200,11 +191,6 @@ impl ServeConfig {
         if self.task_parallelism == 0 {
             return Err(ServeError::InvalidRequest(
                 "task_parallelism must be >= 1".into(),
-            ));
-        }
-        if self.functional_parallelism == 0 {
-            return Err(ServeError::InvalidRequest(
-                "functional_parallelism must be >= 1".into(),
             ));
         }
         if self.factor_store_bytes == 0 {
@@ -396,7 +382,6 @@ impl ServeConfig {
             .task_parallelism(task_parallelism)
             .co_residency(co_residency)
             .precision(self.precision)
-            .functional_parallelism(self.functional_parallelism)
             .fidelity(self.fidelity)
             .observability(self.observability);
         if let Some(iters) = self.fixed_iterations {

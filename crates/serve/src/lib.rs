@@ -9,11 +9,10 @@
 //!
 //! ```text
 //!  callers ──try_submit──▶ [admission scheduler]       (backpressure;
-//!                                   │                   FIFO or EDF order)
-//!                             batcher thread           (coalesce same
-//!                                   │                   key, per-key linger)
-//!                           [dispatch queue]
-//!                             │    │    │
+//!                             ▲    ▲    ▲               FIFO or EDF order)
+//!                             │    │    │              an idle replica cuts
+//!                             │    │    │              the next due key under
+//!                             │    │    │              the formation lock
 //!                          replica pool (N threads)    (run_many; panic
 //!                             │    │    │               containment +
 //!                            results to handles         replacement)
@@ -24,7 +23,10 @@
 //!   backs off.
 //! * **Dynamic batching** — same-shape requests are coalesced up to the
 //!   configured batch size or linger budget, each batch key lingering on
-//!   its own clock while its requests stay queued, then executed with
+//!   its own clock while its requests stay queued. An idle replica cuts
+//!   the batch (one replica forms at a time), so a batch is cut only
+//!   when a replica can run it and a busy pool packs its backlog into
+//!   full batches; the replica then executes it with
 //!   [`heterosvd::Accelerator::run_many`]; every request in a batch of
 //!   size `B` is charged the Eq. (14) system time `⌈B / P_task⌉ · t_task`
 //!   (see [`LatencyRecord::sim_exec_ps`]).
@@ -32,12 +34,12 @@
 //!   (batch key, [`SloClass`]) sub-queues in one scheduler whose mode is
 //!   [`ServeConfig::shape_classed`]. Off (the default), requests are
 //!   served in admission order. On, they are served by effective
-//!   deadline: among the due batch keys, formation picks the earliest
-//!   deadline (EDF) instead of the oldest request, a full scheduler
-//!   evicts the latest-deadline lower-priority request to admit a more
-//!   urgent one, replicas work-steal batches across sub-pools, and a
-//!   windowed timeout-fraction load shedder sheds Batch (then Standard)
-//!   traffic with [`ServeError::Overloaded`] before the queue collapses.
+//!   deadline: among the due batch keys, any idle replica cuts the one
+//!   holding the earliest deadline (EDF) instead of the oldest request,
+//!   a full scheduler evicts the latest-deadline lower-priority request
+//!   to admit a more urgent one, and a windowed timeout-fraction load
+//!   shedder sheds Batch (then Standard) traffic with
+//!   [`ServeError::Overloaded`] before the queue collapses.
 //! * **Lifecycle** — per-request deadlines, cancellation, worker-panic
 //!   containment (the poisoned replica is retired and replaced), and
 //!   drain-on-shutdown. Every request kind enters through one admission
@@ -103,7 +105,6 @@ mod batcher;
 mod config;
 mod error;
 mod metrics;
-mod queue;
 mod report;
 mod request;
 mod scheduler;

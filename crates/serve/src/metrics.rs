@@ -32,7 +32,7 @@ pub(crate) enum Outcome {
     /// left the admission queue in time).
     TimedOutAtBatcher,
     /// Deadline expiry caught at replica-exec start (admitted in time,
-    /// but the deadline passed while the batch was forming/dispatching).
+    /// but the deadline passed between its batch's cut and exec start).
     TimedOutAtExec,
     /// Evicted from a full classed queue to admit a more urgent request.
     Evicted,
@@ -72,9 +72,6 @@ pub(crate) struct Metrics {
     /// DSE re-searches the autoscale controller actually ran (cached
     /// stationary ticks do not count).
     pub(crate) dse_runs: AtomicU64,
-    /// Batches a replica popped from another sub-pool's dispatch queue
-    /// (shape-classed work stealing).
-    pub(crate) batches_stolen: AtomicU64,
     /// The outcome table: admissions and one count per [`Outcome`] for
     /// each request type, indexed by [`RequestType::index`]. Every
     /// aggregate request counter is a sum over it.
@@ -230,7 +227,6 @@ impl Metrics {
             staleness_fallbacks: AtomicU64::new(0),
             plan_swaps: AtomicU64::new(0),
             dse_runs: AtomicU64::new(0),
-            batches_stolen: AtomicU64::new(0),
             per_type: [TypeMetrics::new(), TypeMetrics::new(), TypeMetrics::new()],
             per_class: [
                 ClassMetrics::new(),
@@ -281,11 +277,6 @@ impl Metrics {
     /// admission. It was never admitted, so it has no outcome.
     pub(crate) fn record_shed(&self, class: SloClass) {
         self.of_class(class).shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a batch a replica stole from another sub-pool.
-    pub(crate) fn record_batch_stolen(&self) {
-        self.batches_stolen.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one packed wave covering `requests` co-scheduled requests.
@@ -481,7 +472,6 @@ impl Metrics {
             replicas_spawned: self.replicas_spawned.load(Ordering::Relaxed),
             replicas_live: replicas_live as u64,
             batches_dispatched: self.batches_dispatched.load(Ordering::Relaxed),
-            batches_stolen: self.batches_stolen.load(Ordering::Relaxed),
             // The service fills in its scheduler's shed level.
             shed_level: 0,
             packed_batches: self.packed_batches.load(Ordering::Relaxed),
@@ -692,11 +682,8 @@ pub struct MetricsSnapshot {
     pub replicas_spawned: u64,
     /// Replicas currently alive.
     pub replicas_live: u64,
-    /// Batches handed to replicas.
+    /// Batches replicas executed.
     pub batches_dispatched: u64,
-    /// Batches a replica popped from another sub-pool's dispatch queue
-    /// (shape-classed work stealing; zero in FIFO mode).
-    pub batches_stolen: u64,
     /// Current load-shed tier: 0 = none, 1 = Batch class shed,
     /// 2 = Batch + Standard shed.
     pub shed_level: u64,
@@ -1089,7 +1076,6 @@ mod tests {
         // eviction was admitted.
         m.record_shed(SloClass::Batch);
         m.record_outcome(RequestType::Decompose, SloClass::Batch, Outcome::Evicted);
-        m.record_batch_stolen();
         let mut rec = record_of(100, 1);
         rec.wall_total = Duration::from_micros(250);
         m.record_latency(&rec, RequestType::Decompose, None, SloClass::Interactive);
@@ -1103,7 +1089,6 @@ mod tests {
         assert_eq!(snap.per_class.standard.submitted, 0);
         assert_eq!(snap.shed, 2);
         assert_eq!(snap.evicted, 1);
-        assert_eq!(snap.batches_stolen, 1);
         let json = serde_json::to_string(&snap).unwrap();
         assert!(json.contains("\"per_class\""));
         assert!(json.contains("\"interactive\""));

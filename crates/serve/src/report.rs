@@ -131,7 +131,7 @@ impl MetricsReport {
         counter(
             out,
             "batches_dispatched_total",
-            "Batches handed to replicas.",
+            "Batches replicas executed.",
             s.batches_dispatched,
         );
         counter(
@@ -439,12 +439,6 @@ impl MetricsReport {
             "Admitted requests evicted from a full queue by the overload policy.",
             s.evicted,
         );
-        counter(
-            out,
-            "batches_stolen_total",
-            "Batches a replica stole from another sub-pool.",
-            s.batches_stolen,
-        );
         gauge(
             out,
             "shed_level",
@@ -722,7 +716,6 @@ mod tests {
         // One door refusal (Batch) and one eviction (Standard): both shed.
         metrics.record_shed(SloClass::Batch);
         metrics.record_outcome(RequestType::Apply, SloClass::Standard, Outcome::Evicted);
-        metrics.record_batch_stolen();
         metrics.record_outcome(
             RequestType::Decompose,
             SloClass::Standard,
@@ -853,7 +846,6 @@ mod tests {
         assert!(json.contains("\"cancelled\": 1"));
         assert!(json.contains("\"shed\": 2"));
         assert!(json.contains("\"evicted\": 1"));
-        assert!(json.contains("\"batches_stolen\": 1"));
         assert!(json.contains("\"shed_level\": 1"));
     }
 
@@ -907,7 +899,6 @@ mod tests {
         assert!(text.contains("hsvd_wall_us_by_class{class=\"standard\",quantile=\"0.99\"}"));
         assert!(text.contains("hsvd_shed_total 2"));
         assert!(text.contains("hsvd_evicted_total 1"));
-        assert!(text.contains("hsvd_batches_stolen_total 1"));
         assert!(text.contains("hsvd_shed_level 1"));
     }
 

@@ -197,15 +197,18 @@ pub struct PlanInfo {
 /// Where each slice of a request's life went.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyRecord {
-    /// Wall-clock time from admission until the batcher first saw the
-    /// request queued. The batcher surveys the queue on every arrival,
-    /// so this is near zero unless it was busy handing a formed batch
-    /// to a full dispatch queue.
+    /// Wall-clock time from admission until a replica forming a batch
+    /// first saw the request queued. A forming replica surveys the queue
+    /// on every arrival, so this is near zero while a replica is idle;
+    /// while every replica is busy executing, it is the wait for one to
+    /// free up.
     pub queue_wait: Duration,
-    /// Wall-clock time from that first sighting until a replica started
-    /// the batch: waiting for batch-mates (the request's key lingers on
-    /// its own clock, at most the configured max linger counted from
-    /// admission) plus waiting in dispatch for a replica.
+    /// Wall-clock time from that first sighting until the replica that
+    /// cut the batch started it: waiting for batch-mates (the request's
+    /// key lingers on its own clock, at most the configured max linger
+    /// counted from admission), plus any stretch in which every replica
+    /// turned busy before one cut it. A cut batch runs at once on the
+    /// replica that cut it; there is no dispatch wait.
     pub batch_linger: Duration,
     /// Simulated execution time charged to the request, in picoseconds.
     /// Decompose and apply requests are charged their batch's Eq. (14)
@@ -506,9 +509,9 @@ pub(crate) enum Payload {
     },
 }
 
-/// What the batcher coalesces on: decompose batches are shape-uniform
-/// (one accelerator run), apply batches are (model, version)-uniform
-/// (one pinned factor set).
+/// What batch formation coalesces on: decompose batches are
+/// shape-uniform (one accelerator run), apply batches are
+/// (model, version)-uniform (one pinned factor set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum BatchKey {
     Decompose {
@@ -535,8 +538,9 @@ pub(crate) struct PendingRequest {
     pub(crate) state: Arc<RequestState>,
     pub(crate) submitted_at: Instant,
     pub(crate) deadline: Option<Instant>,
-    /// When the batcher first saw the request queued (`None` until its
-    /// first survey); the end of the request's queue wait.
+    /// When a replica forming a batch first saw the request queued
+    /// (`None` until its first survey); the end of the request's queue
+    /// wait.
     pub(crate) seen_at: Option<Instant>,
     /// SLO class stamped at admission; read by the shape-classed
     /// scheduler and the per-class metrics.
@@ -560,7 +564,7 @@ impl PendingRequest {
     }
 
     /// Ends the request if it was cancelled, or timed out by `now` — a
-    /// timeout counted at exec start when `at_exec`, else at the batcher.
+    /// timeout counted at exec start when `at_exec`, else at formation.
     /// Returns whether the request is dead (ended here or before).
     pub(crate) fn end_if_dead(&self, now: Instant, at_exec: bool, metrics: &Metrics) -> bool {
         let (err, outcome) = if self.state.is_cancelled() {
@@ -636,7 +640,7 @@ impl PendingRequest {
     }
 }
 
-/// Queued-request fixtures shared by the admission and batcher tests.
+/// Queued-request fixtures shared by the admission and formation tests.
 #[cfg(test)]
 pub(crate) mod fixtures {
     use super::*;

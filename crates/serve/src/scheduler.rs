@@ -1,30 +1,27 @@
 //! Admission: the one structure requests wait in until their batch is
-//! cut, plus the dispatch pools and the load shedder behind it.
+//! cut, plus the load shedder behind it.
 //!
 //! Every admitted request lands in a per-([`BatchKey`], [`SloClass`])
 //! sub-queue of the service's [`ClassScheduler`], sorted by
-//! [`ClassScheduler::order`]. The batcher ranks due keys by the same
-//! order and cuts each batch in it, so formation never asks which mode
-//! it serves. [`crate::ServeConfig::shape_classed`] picks the mode:
+//! [`ClassScheduler::order`]. An idle replica ranks due keys by the
+//! same order and cuts each batch in it, so formation never asks which
+//! mode it serves. [`crate::ServeConfig::shape_classed`] picks the mode:
 //!
 //! * **FIFO** (the default) — the order is the admission time. The
-//!   batcher forms the due key holding the oldest request, a batch
+//!   replica forms the due key holding the oldest request, a batch
 //!   takes its key's requests in arrival order, and a full scheduler
 //!   refuses every push with `Full`. Classes and deadlines never reorder
-//!   anything, dispatch is one plain FIFO pool, and nothing is shed.
+//!   anything, and nothing is shed.
 //! * **Classed** — the order is the *effective* deadline (the explicit
 //!   deadline, or submission time plus the class horizon), and:
-//!   - **EDF formation**: among the due keys, the batcher forms the one
+//!   - **EDF formation**: among the due keys, the replica forms the one
 //!     holding the earliest deadline, so a rare Interactive request
-//!     jumps a backlog of Batch-class work instead of waiting it out.
+//!     jumps a backlog of Batch-class work instead of waiting it out,
+//!     and any idle replica serves whichever class is most urgent.
 //!   - **EDF admission**: a full scheduler evicts the latest-deadline
 //!     request of an equal-or-lower-priority class when the incoming
 //!     one is strictly more urgent (the victim completes with
 //!     [`ServeError::Overloaded`]).
-//!   - **Work stealing**: formed batches land in per-sub-pool dispatch
-//!     queues ([`StealingDispatch`]); an idle replica first drains its
-//!     home pool, then steals from the most backlogged one, so a hot
-//!     class cannot strand capacity.
 //!   - **Load shedding**: a [`ShedController`] watches the windowed
 //!     timeout fraction and sheds Batch (then Standard) traffic at
 //!     admission before the queue collapses.
@@ -32,14 +29,11 @@
 //! Admission only decides *when* requests execute; per-request factors
 //! are bit-identical in both modes and to a solo accelerator run.
 
-use crate::batcher::Batch;
 use crate::error::ServeError;
 use crate::metrics::{Metrics, Outcome};
-use crate::queue::{PopResult, PushError};
 use crate::request::{BatchKey, PendingRequest, SloClass};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
@@ -49,6 +43,15 @@ pub(crate) const SHED_NONE: u8 = 0;
 pub(crate) const SHED_BATCH: u8 = 1;
 /// Batch- and Standard-class traffic are shed at admission.
 pub(crate) const SHED_STANDARD: u8 = 2;
+
+/// Outcome of a failed push.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum PushError<T> {
+    /// The scheduler was at capacity; the item is handed back.
+    Full(T),
+    /// The scheduler was closed; the item is handed back.
+    Closed(T),
+}
 
 /// One per-(key, class) sub-queue, never empty, ascending by
 /// [`ClassScheduler::order`] (arrival order among ties, preserved by
@@ -66,8 +69,8 @@ struct SchedState {
     queues: Vec<ClassQueue>,
     /// Total requests across all sub-queues (bounded by `capacity`).
     len: usize,
-    /// Bumps on every successful push; the batcher snapshots it before
-    /// surveying so a racing push wakes its wait immediately.
+    /// Bumps on every successful push; a forming replica snapshots it
+    /// before surveying so a racing push wakes its wait immediately.
     push_seq: u64,
     closed: bool,
 }
@@ -75,8 +78,8 @@ struct SchedState {
 /// The service's bounded admission structure, FIFO or classed.
 pub(crate) struct ClassScheduler {
     state: Mutex<SchedState>,
-    /// Signalled on every push and on close; the batcher's wait parks
-    /// here.
+    /// Signalled on every push and on close; the forming replica's wait
+    /// parks here.
     push_cv: Condvar,
     capacity: usize,
     /// Classed (EDF order, evicting) rather than FIFO admission.
@@ -107,7 +110,7 @@ impl ClassScheduler {
     /// The key requests are served by, earliest first: the effective
     /// deadline in classed mode, the admission time in FIFO mode.
     /// Sub-queues are sorted by it, a batch is cut in it, and the
-    /// batcher forms the due key holding the earliest.
+    /// forming replica cuts the due key holding the earliest.
     pub(crate) fn order(&self, request: &PendingRequest) -> Instant {
         if self.classed {
             request.effective_deadline()
@@ -186,7 +189,7 @@ impl ClassScheduler {
         };
         // Arrivals nearly always sort last (always in FIFO mode, bar
         // racing submitters), so check the back before a binary search:
-        // its probes would read requests the batcher's survey last wrote.
+        // its probes would read requests the formation survey last wrote.
         let buf = &mut st.queues[qi].buf;
         if buf.back().is_none_or(|r| self.order(r) <= order) {
             buf.push_back(request);
@@ -231,7 +234,7 @@ impl ClassScheduler {
     }
 
     /// Calls `visit` on every queued request under the scheduler's
-    /// lock. The batcher uses it to survey (and stamp) the requests
+    /// lock. Formation uses it to survey (and stamp) the requests
     /// that stay queued while their batch keys linger.
     pub(crate) fn for_each_queued<F: FnMut(&mut PendingRequest)>(&self, mut visit: F) {
         let mut st = self.state.lock();
@@ -269,7 +272,7 @@ impl ClassScheduler {
     }
 
     /// Closes admission: pushes fail from now on, and queued requests
-    /// stay to be drained by the batcher. Idempotent.
+    /// stay to be drained by the replicas. Idempotent.
     pub(crate) fn close(&self) {
         let mut st = self.state.lock();
         st.closed = true;
@@ -287,124 +290,12 @@ impl ClassScheduler {
     }
 }
 
-/// Per-sub-pool dispatch with work stealing. Batches route to a pool by
-/// their key hash; each replica drains its home pool first and steals
-/// from the most backlogged other pool when idle. With one pool (FIFO
-/// mode) this is a plain FIFO dispatch queue.
-pub(crate) struct StealingDispatch {
-    state: Mutex<DispatchState>,
-    /// Poppers (replicas) park here for new batches.
-    items_cv: Condvar,
-    /// Pushers (the batcher) park here for space.
-    space_cv: Condvar,
-    /// Global bound across all pools, preserving the FIFO-mode
-    /// backpressure contract (`workers * 2`).
-    capacity: usize,
-    pools: usize,
-}
-
-struct DispatchState {
-    pools: Vec<VecDeque<Batch>>,
-    len: usize,
-    closed: bool,
-}
-
-impl StealingDispatch {
-    pub(crate) fn new(pools: usize, capacity: usize) -> Self {
-        let pools = pools.max(1);
-        StealingDispatch {
-            state: Mutex::new(DispatchState {
-                pools: (0..pools).map(|_| VecDeque::new()).collect(),
-                len: 0,
-                closed: false,
-            }),
-            items_cv: Condvar::new(),
-            space_cv: Condvar::new(),
-            capacity: capacity.max(1),
-            pools,
-        }
-    }
-
-    /// Blocks until space, then routes `batch` to its key's pool.
-    pub(crate) fn push(&self, batch: Batch) -> Result<(), PushError<Batch>> {
-        let mut st = self.state.lock();
-        loop {
-            if st.closed {
-                return Err(PushError::Closed(batch));
-            }
-            if st.len < self.capacity {
-                break;
-            }
-            self.space_cv.wait(&mut st);
-        }
-        let pool = pool_of(&batch.key, self.pools);
-        st.pools[pool].push_back(batch);
-        st.len += 1;
-        drop(st);
-        self.items_cv.notify_all();
-        Ok(())
-    }
-
-    /// Pops the next batch for the replica homed at pool `home`: the
-    /// home pool first, else a steal from the most backlogged pool
-    /// (counted in [`Metrics::record_batch_stolen`]).
-    pub(crate) fn pop(
-        &self,
-        home: usize,
-        timeout: Duration,
-        metrics: &Metrics,
-    ) -> PopResult<Batch> {
-        let deadline = Instant::now() + timeout;
-        let home = home % self.pools;
-        let mut st = self.state.lock();
-        loop {
-            if st.len > 0 {
-                let pool = if !st.pools[home].is_empty() {
-                    home
-                } else {
-                    let victim = (0..self.pools)
-                        .filter(|&p| !st.pools[p].is_empty())
-                        .max_by_key(|&p| st.pools[p].len())
-                        .expect("len > 0 implies a non-empty pool");
-                    metrics.record_batch_stolen();
-                    victim
-                };
-                let batch = st.pools[pool].pop_front().expect("non-empty pool");
-                st.len -= 1;
-                drop(st);
-                self.space_cv.notify_one();
-                return PopResult::Item(batch);
-            }
-            if st.closed {
-                return PopResult::Closed;
-            }
-            if self.items_cv.wait_until(&mut st, deadline).timed_out() && st.len == 0 {
-                return PopResult::TimedOut;
-            }
-        }
-    }
-
-    pub(crate) fn close(&self) {
-        let mut st = self.state.lock();
-        st.closed = true;
-        drop(st);
-        self.items_cv.notify_all();
-        self.space_cv.notify_all();
-    }
-}
-
-fn pool_of(key: &BatchKey, pools: usize) -> usize {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut hasher);
-    (hasher.finish() as usize) % pools
-}
-
 /// Windowed overload policy: on a cadence, diffs the service's timeout
 /// and completion counters and maps the timeout fraction to a shed
 /// tier — above [`crate::ServeConfig::shed_threshold`] Batch sheds,
 /// above twice it Standard sheds too, and below half of it the tier
-/// decays one step. Runs on the batcher thread (the single writer of
-/// the shed level).
+/// decays one step. Lives under the service's formation lock, so the
+/// replica holding it is the shed level's single writer.
 pub(crate) struct ShedController {
     threshold: f64,
     min_interval: Duration,
@@ -468,7 +359,7 @@ impl ShedController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::{self, BatchEntry, FormOutcome};
+    use crate::batcher::{self, FormOutcome};
     use crate::config::ServeConfig;
     use crate::request::fixtures::{aged, pending, pending_apply, published};
     use crate::request::RequestType;
@@ -502,27 +393,6 @@ mod tests {
         let mut request = pending(id, shape, class);
         request.deadline = Some(deadline);
         request
-    }
-
-    fn batch_of(id: u64, shape: (usize, usize)) -> Batch {
-        Batch {
-            key: BatchKey::Decompose {
-                rows: shape.0,
-                cols: shape.1,
-            },
-            entries: vec![BatchEntry {
-                request: pending(id, shape, SloClass::Standard),
-                picked_at: Instant::now(),
-            }],
-        }
-    }
-
-    fn popped_id(out: PopResult<Batch>) -> u64 {
-        match out {
-            PopResult::Item(batch) => batch.entries[0].request.id.0,
-            PopResult::TimedOut => panic!("expected a batch, got TimedOut"),
-            PopResult::Closed => panic!("expected a batch, got Closed"),
-        }
     }
 
     #[test]
@@ -716,7 +586,7 @@ mod tests {
 
     /// Regression test: draining a sub-queue used to leave it behind in
     /// `queues` for good. Apply keys carry the factor version, so every
-    /// republish leaked one sub-queue that each push, take and batcher
+    /// republish leaked one sub-queue that each push, take and formation
     /// survey scanned from then on.
     #[test]
     fn drained_sub_queues_are_dropped_in_both_modes() {
@@ -740,7 +610,7 @@ mod tests {
     }
 
     /// Perf guard for FIFO-mode cuts: one sweep per queued request, each
-    /// matching at the front (the batcher's steady state on a deep
+    /// matching at the front (formation's steady state on a deep
     /// single-key backlog), must cost O(1) per take. A take that
     /// rebuilt or rescanned the backlog would make this drain
     /// O(depth²) — ~5×10⁸ element moves, tens of seconds in a debug
@@ -912,126 +782,6 @@ mod tests {
             .try_push(pending(2, (8, 8), SloClass::Standard), &metrics)
             .unwrap_err();
         assert!(matches!(err, PushError::Closed(_)));
-    }
-
-    #[test]
-    fn stealing_pop_prefers_home_then_raids_the_backlog() {
-        let metrics = Metrics::new();
-        let dispatch = StealingDispatch::new(2, 8);
-        // Two batches of a key that hashes to some pool P; a replica
-        // homed at the *other* pool must steal them (and be counted),
-        // while a replica homed at P pops for free.
-        let pool = pool_of(&batch_of(0, (8, 8)).key, 2);
-        assert!(dispatch.push(batch_of(1, (8, 8))).is_ok());
-        assert!(dispatch.push(batch_of(2, (8, 8))).is_ok());
-        let other = 1 - pool;
-        assert_eq!(
-            popped_id(dispatch.pop(other, Duration::from_millis(10), &metrics)),
-            1,
-            "expected a stolen batch"
-        );
-        assert_eq!(metrics.batches_stolen.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            popped_id(dispatch.pop(pool, Duration::from_millis(10), &metrics)),
-            2
-        );
-        assert_eq!(
-            metrics.batches_stolen.load(Ordering::Relaxed),
-            1,
-            "home pop is not a steal"
-        );
-        dispatch.close();
-        assert!(matches!(
-            dispatch.pop(0, Duration::from_millis(5), &metrics),
-            PopResult::Closed
-        ));
-    }
-
-    #[test]
-    fn single_pool_dispatch_is_plain_fifo() {
-        let metrics = Metrics::new();
-        let dispatch = StealingDispatch::new(1, 4);
-        assert!(dispatch.push(batch_of(1, (8, 8))).is_ok());
-        assert!(dispatch.push(batch_of(2, (16, 16))).is_ok());
-        for expect in [1u64, 2] {
-            assert_eq!(
-                popped_id(dispatch.pop(7, Duration::from_millis(10), &metrics)),
-                expect
-            );
-        }
-        assert_eq!(metrics.batches_stolen.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn dispatch_pop_times_out_when_empty() {
-        let dispatch = StealingDispatch::new(2, 4);
-        assert!(matches!(
-            dispatch.pop(0, Duration::from_millis(5), &Metrics::new()),
-            PopResult::TimedOut
-        ));
-    }
-
-    #[test]
-    fn dispatch_push_waits_for_space() {
-        let metrics = Metrics::new();
-        let dispatch = Arc::new(StealingDispatch::new(1, 1));
-        assert!(dispatch.push(batch_of(1, (8, 8))).is_ok());
-        let pusher = Arc::clone(&dispatch);
-        let t = std::thread::spawn(move || pusher.push(batch_of(2, (8, 8))).is_ok());
-        std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(
-            popped_id(dispatch.pop(0, Duration::from_secs(5), &metrics)),
-            1
-        );
-        assert!(t.join().unwrap(), "the blocked push lands once space frees");
-        assert_eq!(
-            popped_id(dispatch.pop(0, Duration::from_secs(5), &metrics)),
-            2
-        );
-    }
-
-    #[test]
-    fn dispatch_close_wakes_a_blocked_consumer() {
-        let dispatch = Arc::new(StealingDispatch::new(2, 4));
-        let popper = Arc::clone(&dispatch);
-        let t = std::thread::spawn(move || {
-            matches!(
-                popper.pop(0, Duration::from_secs(10), &Metrics::new()),
-                PopResult::Closed
-            )
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        let start = Instant::now();
-        dispatch.close();
-        assert!(t.join().unwrap(), "the blocked pop reports Closed");
-        assert!(start.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn dispatch_close_hands_a_blocked_producer_its_batch_back() {
-        // A batcher blocked on full dispatch must wake on close and get
-        // its batch back — not deadlock waiting for space that never
-        // frees up.
-        let metrics = Metrics::new();
-        let dispatch = Arc::new(StealingDispatch::new(1, 1));
-        assert!(dispatch.push(batch_of(1, (8, 8))).is_ok());
-        let pusher = Arc::clone(&dispatch);
-        let t = std::thread::spawn(move || match pusher.push(batch_of(2, (8, 8))) {
-            Err(PushError::Closed(batch)) => batch.entries[0].request.id.0,
-            _ => panic!("expected the batch back with Closed"),
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        dispatch.close();
-        assert_eq!(t.join().unwrap(), 2);
-        // The pre-close batch still drains.
-        assert_eq!(
-            popped_id(dispatch.pop(0, Duration::from_millis(5), &metrics)),
-            1
-        );
-        assert!(matches!(
-            dispatch.pop(0, Duration::from_millis(5), &metrics),
-            PopResult::Closed
-        ));
     }
 
     #[test]

@@ -1,19 +1,16 @@
-//! The serving front end: admission, dispatch, replica pool, lifecycle.
+//! The serving front end: admission, replica pool, lifecycle.
 
 use crate::batcher::{self, Batch, BatchEntry, FormOutcome};
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::queue::{PopResult, PushError};
 use crate::report::{CacheReport, MetricsReport, ShapeUtilization};
 use crate::request::{
     ApplyHandle, ApplyResponse, BatchKey, Completion, Handle, LatencyRecord, Payload,
     PendingRequest, PlanInfo, PublishSpec, RequestHandle, RequestId, RequestState, SloClass,
     SubmitOptions, SvdResponse, UpdateHandle, UpdateResponse,
 };
-use crate::scheduler::{
-    ClassScheduler, ShedController, StealingDispatch, SHED_BATCH, SHED_STANDARD,
-};
+use crate::scheduler::{ClassScheduler, PushError, ShedController, SHED_BATCH, SHED_STANDARD};
 use aie_sim::TimePs;
 use factor_store::{FactorStore, ModelId, PublishedFactors};
 use heterosvd::apply::ApplyShape;
@@ -36,10 +33,10 @@ use svd_kernels::Matrix;
 /// A batch-serving SVD service.
 ///
 /// Requests enter through a bounded admission scheduler ([`SvdService::try_submit`]
-/// exerts backpressure with [`ServeError::QueueFull`]), a batcher thread
-/// coalesces compatible requests into batches, and a pool of accelerator
-/// replicas executes each batch via [`Accelerator::run_many`], charging
-/// every request in a batch the Eq. (14) system time
+/// exerts backpressure with [`ServeError::QueueFull`]). Each idle replica
+/// of the accelerator pool cuts the next batch of compatible requests
+/// from it and executes that batch via [`Accelerator::run_many`],
+/// charging every request in it the Eq. (14) system time
 /// `⌈B / P_task⌉ · t_task`.
 ///
 /// Alongside full factorizations the service runs a decompose-once /
@@ -57,7 +54,6 @@ use svd_kernels::Matrix;
 /// everything already queued, and joins all threads.
 pub struct SvdService {
     inner: Arc<Inner>,
-    batcher: Mutex<Option<JoinHandle<()>>>,
     autoscaler: Mutex<Option<JoinHandle<()>>>,
     shutdown_done: AtomicBool,
 }
@@ -67,10 +63,10 @@ pub(crate) struct Inner {
     /// Admitted requests awaiting batch formation: FIFO, or classed
     /// EDF with [`ServeConfig::shape_classed`] on.
     admission: ClassScheduler,
-    /// Formed batches en route to replicas. In FIFO mode a single pool
-    /// (plain FIFO); in shape-classed mode one sub-pool per worker with
-    /// work stealing, so an idle replica serves a backlogged class.
-    dispatch: StealingDispatch,
+    /// The formation lock: an idle replica holds it while it cuts its
+    /// next batch, so one replica forms at a time. It owns the load
+    /// shedder (classed mode only), whose holder is its single writer.
+    formation: Mutex<Option<ShedController>>,
     pub(crate) metrics: Metrics,
     next_id: AtomicU64,
     replicas_live: AtomicUsize,
@@ -191,8 +187,7 @@ impl Inner {
 }
 
 impl SvdService {
-    /// Validates `config`, spawns the batcher and the replica pool, and
-    /// starts serving.
+    /// Validates `config`, spawns the replica pool, and starts serving.
     ///
     /// # Errors
     ///
@@ -209,17 +204,13 @@ impl SvdService {
                 .map_err(ServeError::from)?,
         )
         .map_err(ServeError::from)?;
-        // Classed mode: one dispatch sub-pool per worker (work stealing
-        // keeps them balanced); FIFO mode keeps a single pool. The
-        // global capacity bound is identical either way.
-        let pools = if config.shape_classed {
-            config.workers.max(1)
-        } else {
-            1
-        };
+        // Only classed admission sheds.
+        let shed = config.shape_classed.then(|| {
+            ShedController::new(config.shed_threshold, std::time::Duration::from_millis(100))
+        });
         let inner = Arc::new(Inner {
             admission: ClassScheduler::new(config.queue_capacity, config.shape_classed),
-            dispatch: StealingDispatch::new(pools, config.workers.max(1) * 2),
+            formation: Mutex::new(shed),
             metrics: Metrics::new(),
             next_id: AtomicU64::new(0),
             replicas_live: AtomicUsize::new(0),
@@ -237,11 +228,6 @@ impl SvdService {
         for _ in 0..inner.config.workers {
             spawn_replica(&inner);
         }
-        let batcher_inner = Arc::clone(&inner);
-        let batcher = std::thread::Builder::new()
-            .name("svd-batcher".into())
-            .spawn(move || batcher_main(batcher_inner))
-            .expect("failed to spawn batcher thread");
         let autoscaler = inner.config.autoscale.then(|| {
             let controller_inner = Arc::clone(&inner);
             std::thread::Builder::new()
@@ -251,7 +237,6 @@ impl SvdService {
         });
         Ok(SvdService {
             inner,
-            batcher: Mutex::new(Some(batcher)),
             autoscaler: Mutex::new(autoscaler),
             shutdown_done: AtomicBool::new(false),
         })
@@ -610,8 +595,7 @@ impl SvdService {
     }
 
     /// Stops admitting, drains every queued request to a terminal state,
-    /// and joins the batcher and all replicas. Idempotent; also run on
-    /// drop.
+    /// and joins all replicas. Idempotent; also run on drop.
     pub fn shutdown(&self) {
         if self.shutdown_done.swap(true, Ordering::SeqCst) {
             return;
@@ -623,12 +607,9 @@ impl SvdService {
         if let Some(handle) = self.autoscaler.lock().take() {
             let _ = handle.join();
         }
-        if let Some(handle) = self.batcher.lock().take() {
-            let _ = handle.join();
-        }
-        // The batcher closed the dispatch queue on exit; replicas drain
-        // it and retire. Replacement replicas may register while we join,
-        // so loop until the registry is empty.
+        // Replicas drain the closed admission scheduler and retire.
+        // Replacement replicas may register while we join, so loop until
+        // the registry is empty.
         loop {
             let drained: Vec<JoinHandle<()>> = {
                 let mut workers = self.inner.workers.lock();
@@ -650,94 +631,66 @@ impl Drop for SvdService {
     }
 }
 
-/// Batcher thread: forms batches until admission is closed and drained,
-/// then closes the dispatch queue so replicas retire.
-fn batcher_main(inner: Arc<Inner>) {
-    // Only classed admission sheds. The batcher thread is the single
-    // writer of the shed level, so the controller's state lives on its
-    // stack.
-    let mut shed = inner.config.shape_classed.then(|| {
-        ShedController::new(
-            inner.config.shed_threshold,
-            std::time::Duration::from_millis(100),
-        )
-    });
-    let policy = |key, class| inner.class_policy(key, class);
-    loop {
-        if let Some(shed) = &mut shed {
-            shed.update(&inner.metrics, &inner.admission);
-        }
-        match batcher::form_batch(&inner.admission, &inner.config, &inner.metrics, &policy) {
-            FormOutcome::Formed(batch) => {
-                if let Err(PushError::Closed(batch)) = inner.dispatch.push(batch) {
-                    // Dispatch can only close after this thread exits, but
-                    // fail the batch defensively rather than dropping it.
-                    fail_batch(&inner.metrics, &batch, &ServeError::ShuttingDown);
-                    break;
-                }
-            }
-            FormOutcome::Idle => continue,
-            FormOutcome::Drained => break,
-        }
-    }
-    inner.dispatch.close();
-}
-
-/// Spawns one replica thread and registers it for shutdown joining. The
-/// spawn ordinal doubles as the replica's home dispatch sub-pool (a
-/// replacement replica inherits a fresh ordinal; pool assignment only
-/// needs to spread replicas, not stay stable).
+/// Spawns one replica thread and registers it for shutdown joining.
 fn spawn_replica(inner: &Arc<Inner>) {
-    let home = inner
+    inner
         .metrics
         .replicas_spawned
-        .fetch_add(1, Ordering::Relaxed) as usize;
+        .fetch_add(1, Ordering::Relaxed);
     inner.replicas_live.fetch_add(1, Ordering::SeqCst);
     let thread_inner = Arc::clone(inner);
     let handle = std::thread::Builder::new()
         .name("svd-replica".into())
-        .spawn(move || replica_main(thread_inner, home))
+        .spawn(move || replica_main(thread_inner))
         .expect("failed to spawn replica thread");
     inner.workers.lock().push(handle);
 }
 
-/// Replica thread: executes batches until the dispatch queue drains.
+/// Replica thread: cuts a batch under the formation lock, releases the
+/// lock and executes that batch, until admission is closed and drained.
 /// A panic while serving a batch fails that batch, retires this replica,
 /// and spawns a replacement.
-fn replica_main(inner: Arc<Inner>, home: usize) {
+fn replica_main(inner: Arc<Inner>) {
+    let policy = |key, class| inner.class_policy(key, class);
     let mut accelerators: HashMap<AcceleratorKey, (Accelerator, PlanInfo)> = HashMap::new();
     let mut accel_generation: u64 = 0;
     loop {
-        match inner.dispatch.pop(home, batcher::POLL_TICK, &inner.metrics) {
-            PopResult::Item(mut batch) => {
-                // Read the live plan exactly once per batch: the whole
-                // batch executes under this plan even if the controller
-                // swaps mid-run (drain-and-replace).
-                let plan = *inner.live_plan.lock();
-                if plan.generation != accel_generation {
-                    // The plan changed since this replica last built its
-                    // accelerators; drop them so this batch (and every
-                    // later one) rebuilds under the new plan.
-                    accelerators.clear();
-                    accel_generation = plan.generation;
-                }
-                let exec_started = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    execute_batch(&inner, &mut accelerators, &mut batch, exec_started, plan)
-                }));
-                if let Err(payload) = outcome {
-                    let err = ServeError::from(HeteroSvdError::worker_panicked(payload.as_ref()));
-                    inner.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    fail_batch(&inner.metrics, &batch, &err);
-                    inner.replicas_live.fetch_sub(1, Ordering::SeqCst);
-                    // Replace the poisoned replica; during shutdown the
-                    // replacement drains the closed queue and retires.
-                    spawn_replica(&inner);
-                    return;
-                }
+        let formed = {
+            let mut shed = inner.formation.lock();
+            if let Some(shed) = shed.as_mut() {
+                shed.update(&inner.metrics, &inner.admission);
             }
-            PopResult::TimedOut => continue,
-            PopResult::Closed => break,
+            batcher::form_batch(&inner.admission, &inner.config, &inner.metrics, &policy)
+        };
+        let mut batch = match formed {
+            FormOutcome::Formed(batch) => batch,
+            FormOutcome::Idle => continue,
+            FormOutcome::Drained => break,
+        };
+        // Read the live plan exactly once per batch: the whole batch
+        // executes under this plan even if the controller swaps mid-run
+        // (drain-and-replace).
+        let plan = *inner.live_plan.lock();
+        if plan.generation != accel_generation {
+            // The plan changed since this replica last built its
+            // accelerators; drop them so this batch (and every later
+            // one) rebuilds under the new plan.
+            accelerators.clear();
+            accel_generation = plan.generation;
+        }
+        let exec_started = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            execute_batch(&inner, &mut accelerators, &mut batch, exec_started, plan)
+        }));
+        if let Err(payload) = outcome {
+            let err = ServeError::from(HeteroSvdError::worker_panicked(payload.as_ref()));
+            inner.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+            fail_batch(&inner.metrics, &batch, &err);
+            inner.replicas_live.fetch_sub(1, Ordering::SeqCst);
+            // Replace the poisoned replica; during shutdown the
+            // replacement drains the closed scheduler and retires.
+            spawn_replica(&inner);
+            return;
         }
     }
     inner.replicas_live.fetch_sub(1, Ordering::SeqCst);
@@ -745,7 +698,7 @@ fn replica_main(inner: Arc<Inner>, home: usize) {
 
 /// Ends every still-pending request of `batch` with `err`: the one
 /// failure path for a whole batch (accelerator build or run error,
-/// replica panic, closed dispatch).
+/// replica panic).
 fn fail_batch(metrics: &Metrics, batch: &Batch, err: &ServeError) {
     for entry in &batch.entries {
         entry.request.finish(Err(err.clone()), metrics);
@@ -794,11 +747,10 @@ fn execute_batch(
     exec_started: Instant,
     plan: PlanInfo,
 ) {
-    // Second drop point, distinct from the batcher's pickup check: a
-    // request cancelled, or whose deadline passed while the batch was
-    // forming or waiting for a replica, ends here and leaves the batch.
-    // Counting the two timeout points apart tells an operator whether to
-    // shrink the linger or add replicas.
+    // Second drop point, distinct from the check at the cut: a request
+    // cancelled, or whose deadline passed, between the cut and this
+    // exec start ends here and leaves the batch. Waiting for a busy
+    // pool happens in the queue, so its expiries count at formation.
     let now = Instant::now();
     batch
         .entries
@@ -1380,7 +1332,7 @@ mod tests {
             let config = ServeConfig {
                 workers: 1,
                 max_batch: 8,
-                // Long linger so the batcher reliably forms multi-request
+                // Long linger so the replica reliably forms multi-request
                 // batches from the burst below.
                 max_linger: Duration::from_millis(50),
                 array_packing: packing,
@@ -1499,11 +1451,11 @@ mod tests {
 
     #[test]
     fn deadline_expiring_during_linger_is_counted_at_batcher() {
-        // The request is alive when the batcher picks it up (generous
-        // 100 ms deadline) but the batch lingers 400 ms waiting to fill,
-        // so the deadline has passed by the time the batch seals. The
-        // regression this guards: the batcher's dispatch-time re-filter
-        // must drop (and count) the expired request on its side of the
+        // The request is alive when a forming replica first sees it
+        // (generous 100 ms deadline) but the batch lingers 400 ms
+        // waiting to fill, so the deadline has passed by the time the
+        // batch seals. The regression this guards: the cut must drop
+        // (and count) the expired request on the formation side of the
         // boundary — before the fix it rode the formed batch and was
         // miscounted as a replica-side timeout, which tells an operator
         // to grow the pool when the actual remedy is a shorter linger.

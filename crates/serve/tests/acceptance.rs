@@ -1,7 +1,8 @@
-//! Acceptance tests for the serving runtime's three headline behaviors:
-//! exact backpressure at the queue bound, worker-panic containment with
-//! replica replacement, and Eq. (14) batch time charging consistent with
-//! `Accelerator::run_many`.
+//! Acceptance tests for the serving runtime's headline behaviors: exact
+//! backpressure at the queue bound, worker-panic containment with
+//! replica replacement, Eq. (14) batch time charging consistent with
+//! `Accelerator::run_many`, and batches cut only when a replica can run
+//! them.
 
 use heterosvd::{Accelerator, HeteroSvdConfig};
 use heterosvd_serve::{ServeConfig, ServeError, SubmitOptions, SvdService};
@@ -33,7 +34,7 @@ fn backpressure_rejects_beyond_queue_bound() {
     })
     .unwrap();
 
-    // Seed the batcher with shape (8, 8)...
+    // Seed the queue with shape (8, 8)...
     let seed = service.try_submit(well_conditioned(8, 8, 0)).unwrap();
     std::thread::sleep(Duration::from_millis(50));
 
@@ -219,4 +220,35 @@ fn packed_batch_is_charged_on_the_wave() {
     let m = service.metrics();
     assert!(m.packed_batches >= 1, "no wave was packed: {m:?}");
     assert_eq!(m.completed_ok, 5);
+}
+
+/// A busy pool packs its backlog into one batch. The only replica is
+/// busy with a large solve while eight small requests arrive; with no
+/// linger each is due at once, but no batch is cut until the replica
+/// frees up, so all eight leave together as one full batch instead of
+/// in whatever fragments had arrived by each cut.
+#[test]
+fn busy_pool_packs_its_backlog_into_one_batch() {
+    let service = SvdService::start(ServeConfig {
+        workers: 1,
+        max_batch: 8,
+        max_linger: Duration::ZERO,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+
+    let big = service.try_submit(well_conditioned(256, 256, 0)).unwrap();
+    // Wait (without sleeping) until the replica has started the solve.
+    while service.metrics().batches_dispatched != 1 {
+        std::thread::yield_now();
+    }
+    let handles: Vec<_> = (0..8)
+        .map(|salt| service.try_submit(well_conditioned(16, 16, salt)).unwrap())
+        .collect();
+    for handle in handles {
+        let response = handle.wait().expect("backlogged request must complete");
+        assert_eq!(response.latency.batch_size, 8);
+    }
+    big.wait().expect("the large solve must complete");
+    service.shutdown();
 }

@@ -1,6 +1,5 @@
 //! Plan-cache integration: a replica pool must plan each design once
-//! (not once per replica), and the parallel rotation mode must be
-//! bit-identical to serial end to end through the service.
+//! (not once per replica).
 
 use heterosvd_serve::{ServeConfig, SvdService};
 use std::time::Duration;
@@ -56,47 +55,4 @@ fn replica_pool_shares_one_plan() {
         1,
         "every replica must share the one cached plan"
     );
-}
-
-/// The `functional_parallelism` knob changes wall-clock only: a serial
-/// service and a parallel service produce bit-identical factorizations
-/// (sigma bit patterns, sweep counts, simulated stats).
-#[test]
-fn parallel_and_serial_services_agree_bitwise() {
-    let run = |functional_parallelism: usize| {
-        let service = SvdService::start(ServeConfig {
-            workers: 2,
-            queue_capacity: 32,
-            max_batch: 4,
-            max_linger: Duration::from_millis(1),
-            functional_parallelism,
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        let handles: Vec<_> = (0..6)
-            .map(|salt| service.try_submit(well_conditioned(16, 8, salt)).unwrap())
-            .collect();
-        let responses: Vec<_> = handles
-            .into_iter()
-            .map(|h| h.wait().expect("request must complete"))
-            .collect();
-        service.shutdown();
-        responses
-    };
-
-    let serial = run(1);
-    let parallel = run(4);
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        let s_bits: Vec<u32> = s.output.result.sigma.iter().map(|x| x.to_bits()).collect();
-        let p_bits: Vec<u32> = p.output.result.sigma.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(s_bits, p_bits, "sigma must match bit for bit");
-        assert_eq!(
-            s.output.result.u.as_slice(),
-            p.output.result.u.as_slice(),
-            "U must match exactly"
-        );
-        assert_eq!(s.output.result.sweeps, p.output.result.sweeps);
-        assert_eq!(s.output.stats, p.output.stats);
-    }
 }
