@@ -50,7 +50,7 @@ pub const EFF_RANK: usize = 6;
 /// it and the low-rank path never discards signal.
 pub const CACHE_RANK: usize = 24;
 /// Delta-rank budget of the low-rank fast path: rank-1 bumps qualify,
-/// the rank-[`DRIFT_RANK`] drift does not (it warm-starts instead).
+/// the rank-`DRIFT_RANK` drift does not (it warm-starts instead).
 pub const MAX_UPDATE_RANK: usize = 2;
 /// Rank of the mid-trace drift perturbation.
 const DRIFT_RANK: usize = 4;

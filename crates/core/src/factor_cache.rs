@@ -11,9 +11,6 @@
 //!   basis `V` and spectrum `Σ` (the warm-start seed), the truncated
 //!   factors (the Brand-update state), and how many warm solves have
 //!   run since the last full recompute (the staleness counter).
-//! * **Fingerprinting** — entries carry a content hash of the matrix
-//!   they were computed from, so an unchanged resubmission is detected
-//!   in O(mn) hashing without forming a delta.
 //! * **LRU byte-budget eviction** — the cache charges each entry its
 //!   full resident payload and evicts least-recently-used clients past
 //!   the budget, reusing the clock-LRU idiom of
@@ -26,7 +23,6 @@
 
 use serde::Serialize;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use svd_kernels::{Matrix, TruncatedSvd};
@@ -41,20 +37,6 @@ impl std::fmt::Display for ClientId {
     }
 }
 
-/// Content hash of a matrix: shape plus the exact bit pattern of every
-/// element. Two matrices fingerprint equal iff they are bit-identical,
-/// which is exactly the "nothing changed, serve the cached factors"
-/// fast path.
-pub fn fingerprint_matrix(a: &Matrix<f32>) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    a.rows().hash(&mut h);
-    a.cols().hash(&mut h);
-    for &x in a.as_slice() {
-        x.to_bits().hash(&mut h);
-    }
-    h.finish()
-}
-
 /// One client's cached incremental-SVD state: everything the update
 /// router needs to classify the next matrix and run the warm-start or
 /// low-rank fast path. Immutable behind an `Arc` — refreshes publish a
@@ -64,8 +46,6 @@ pub fn fingerprint_matrix(a: &Matrix<f32>) -> u64 {
 pub struct FactorCacheEntry {
     /// Which client this state belongs to.
     pub client: ClientId,
-    /// [`fingerprint_matrix`] of `a_prev`.
-    pub fingerprint: u64,
     /// The matrix the factors below were computed from — the baseline
     /// the next update's delta is measured against.
     pub a_prev: Matrix<f32>,
@@ -87,7 +67,7 @@ fn matrix_bytes(a: &Matrix<f32>) -> usize {
 }
 
 impl FactorCacheEntry {
-    /// Builds an entry, computing its fingerprint and byte charge.
+    /// Builds an entry, computing its byte charge.
     pub fn new(
         client: ClientId,
         a_prev: Matrix<f32>,
@@ -96,14 +76,12 @@ impl FactorCacheEntry {
         truncated: TruncatedSvd<f32>,
         warm_solves_since_full: u32,
     ) -> Self {
-        let fingerprint = fingerprint_matrix(&a_prev);
         let bytes = matrix_bytes(&a_prev)
             + matrix_bytes(&v)
             + sigma.len() * std::mem::size_of::<f32>()
             + truncated.approx_bytes();
         FactorCacheEntry {
             client,
-            fingerprint,
             a_prev,
             v,
             sigma,
@@ -111,14 +89,6 @@ impl FactorCacheEntry {
             warm_solves_since_full,
             bytes,
         }
-    }
-
-    /// `true` when `a` is bit-identical to the matrix this entry was
-    /// computed from (the zero-delta fast path).
-    pub fn matches(&self, a: &Matrix<f32>) -> bool {
-        self.a_prev.rows() == a.rows()
-            && self.a_prev.cols() == a.cols()
-            && self.fingerprint == fingerprint_matrix(a)
     }
 }
 
@@ -390,7 +360,6 @@ mod tests {
         let published = cache.publish(e);
         let got = cache.get(ClientId(7)).unwrap();
         assert!(Arc::ptr_eq(&published, &got));
-        assert!(got.matches(&published.a_prev));
         assert_eq!(got.warm_solves_since_full, 0);
         assert!(cache.get(ClientId(8)).is_none());
         let stats = cache.stats();
@@ -403,17 +372,6 @@ mod tests {
                 bytes: bytes as u64
             }]
         );
-    }
-
-    #[test]
-    fn fingerprint_detects_any_bit_change() {
-        let e = entry(1, 8, 1.0, 0);
-        let mut tweaked = e.a_prev.clone();
-        assert!(e.matches(&tweaked));
-        tweaked[(3, 5)] += 1e-7;
-        assert!(!e.matches(&tweaked), "bit change must break the match");
-        let smaller = Matrix::from_fn(4, 4, |r, c| e.a_prev[(r, c)]);
-        assert!(!e.matches(&smaller), "shape change must break the match");
     }
 
     #[test]
@@ -514,7 +472,7 @@ mod tests {
                         cache.publish(entry(t, 8, 1.0 + t as f32, i as u32));
                     }
                     if let Some(e) = cache.get(ClientId(t % 2)) {
-                        assert!(e.matches(&e.a_prev));
+                        assert_eq!(e.client, ClientId(t % 2));
                     }
                 }
             }));

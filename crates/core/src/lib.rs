@@ -61,9 +61,7 @@ pub use batch_pool::BatchPool;
 pub use config::{FidelityMode, HeteroSvdConfig, HeteroSvdConfigBuilder};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use error::HeteroSvdError;
-pub use factor_cache::{
-    fingerprint_matrix, ClientBytes, ClientId, FactorCache, FactorCacheEntry, FactorCacheStats,
-};
+pub use factor_cache::{ClientBytes, ClientId, FactorCache, FactorCacheEntry, FactorCacheStats};
 pub use obs::{JournalSummary, ObsConfig, ResourceKind, SpanJournal, Stage, UtilizationReport};
 pub use orth_pipeline::AdaptiveCounters;
 pub use placement::{tenant_capacity, tenant_stripe_width, Placement, SubGrid, SubGridAllocator};

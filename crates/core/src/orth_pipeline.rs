@@ -30,7 +30,7 @@
 //!   never cloned, per layer;
 //! * mutable scratch (`col_avail`, `prev_end`, `slot_ready`,
 //!   `layer_end`, pair/column/convergence buffers) lives in
-//!   [`PassScratch`], sized at construction and reused via
+//!   `PassScratch`, sized at construction and reused via
 //!   `clear()`/overwrite every pass;
 //! * all transfer/kernel durations depend only on the configuration, so
 //!   they are computed once in [`OrthPipeline::new`].

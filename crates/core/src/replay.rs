@@ -26,8 +26,8 @@
 //! timing-only runs become near-free.
 //!
 //! A profile is only sound for the exact initial state it was probed
-//! from, so [`crate::OrthPipeline`] activates replay only when its
-//! initial block-ready vector equals the profile's
+//! from, so [`crate::orth_pipeline::OrthPipeline`] activates replay
+//! only when its initial block-ready vector equals the profile's
 //! ([`TimingProfile::initial_block_ready`]); any other start falls back
 //! to live simulation. Plans whose schedule never settles into a uniform
 //! shift within the probe budget simply get no profile (`build` returns

@@ -5,7 +5,9 @@
 //! time under the service's formation lock, so a batch is cut only when
 //! a replica can run it. A key is *due* once it has its batch cap
 //! queued, once its oldest queued request has waited its linger budget
-//! (counted from admission), or once admission closes. The replica cuts
+//! (counted from admission), or once admission closes. An update key is
+//! due as soon as it is queued ([`BatchKey::lingers`]): its members run
+//! one by one, so waiting for batch-mates buys nothing. The replica cuts
 //! the due key holding the earliest [`ClassScheduler::order`] — the
 //! oldest request in FIFO mode, the earliest deadline in classed mode —
 //! and otherwise sleeps until the next push or the earliest key
@@ -163,7 +165,7 @@ fn next_due(
             due_at = Some(due_at.map_or(class_due, |d| d.min(class_due)));
         }
         let due_at = due_at.expect("a surveyed key has a queued class");
-        if closed || state.queued >= cap || now >= due_at {
+        if closed || !state.key.lingers() || state.queued >= cap || now >= due_at {
             if best.is_none_or(|(first, _, _)| state.first < first) {
                 best = Some((state.first, state.key, cap));
             }
@@ -239,7 +241,7 @@ fn cut_batch(
 mod tests {
     use super::*;
     use crate::metrics::Outcome;
-    use crate::request::fixtures::{self, pending_apply, published};
+    use crate::request::fixtures::{self, pending_apply, pending_update, published};
     use crate::request::RequestType;
     use crate::{ServeError, SvdService};
     use std::sync::atomic::Ordering;
@@ -554,6 +556,49 @@ mod tests {
             vec![10, 11, 12, 13]
         );
         assert_eq!(ids(&formed(form(&queue, &config, &metrics))), vec![14, 15]);
+    }
+
+    #[test]
+    fn update_keys_are_due_when_queued() {
+        // Update batches share no device run, so waiting for batch-mates
+        // buys nothing: under a 10 s linger a lone update key is due on
+        // the first survey in either admission mode, while a lone
+        // decompose key keeps lingering.
+        let config = config(4, Duration::from_secs(10));
+        let policy = |_: BatchKey, _: SloClass| (config.max_batch, config.max_linger);
+        let update = BatchKey::Update { rows: 8, cols: 8 };
+        for classed in [false, true] {
+            let updates = ClassScheduler::new(16, classed);
+            admit(&updates, pending_update(1, (8, 8)));
+            assert_eq!(
+                next_due(&updates, &config, &policy, Instant::now()),
+                Next::Form {
+                    key: update,
+                    cap: 4
+                },
+                "classed: {classed}"
+            );
+            let decomposes = ClassScheduler::new(16, classed);
+            admit(&decomposes, pending(2, (8, 8)));
+            assert!(
+                matches!(
+                    next_due(&decomposes, &config, &policy, Instant::now()),
+                    Next::Wait(Some(_))
+                ),
+                "classed: {classed}"
+            );
+        }
+        // The cap still holds: a backlog of five leaves as four, then one.
+        let queue = fifo(16);
+        let metrics = Metrics::new();
+        for id in 10..15 {
+            admit(&queue, pending_update(id, (8, 8)));
+        }
+        assert_eq!(
+            ids(&formed(form(&queue, &config, &metrics))),
+            vec![10, 11, 12, 13]
+        );
+        assert_eq!(ids(&formed(form(&queue, &config, &metrics))), vec![14]);
     }
 
     #[test]

@@ -20,10 +20,13 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Largest batch a replica forms.
     pub max_batch: usize,
-    /// Longest a request waits for batch-mates, counted from its
-    /// admission: each batch key lingers on its own clock and is formed
-    /// once its oldest queued request has waited this long (or the key
-    /// has `max_batch` requests queued, or admission closes).
+    /// Longest a decompose or apply request waits for batch-mates,
+    /// counted from its admission: each batch key lingers on its own
+    /// clock and is formed once its oldest queued request has waited
+    /// this long (or the key has `max_batch` requests queued, or
+    /// admission closes). Update keys are due as soon as they are
+    /// queued: an update batch runs its members one by one, so waiting
+    /// for batch-mates buys nothing.
     pub max_linger: Duration,
     /// Engine parallelism (`P_eng`) of every replica.
     pub engine_parallelism: usize,
@@ -69,8 +72,8 @@ pub struct ServeConfig {
     /// need real factors to seed from).
     pub incremental: bool,
     /// Byte budget of the per-client factor cache backing incremental
-    /// updates (previous matrix fingerprint + V basis + spectrum +
-    /// truncated factors per client). Least-recently-used clients are
+    /// updates (previous matrix + V basis + spectrum + truncated
+    /// factors per client). Least-recently-used clients are
     /// evicted past it; the most recently refreshed client is always
     /// retained.
     pub factor_cache_bytes: usize,

@@ -23,8 +23,10 @@
 //!   backs off.
 //! * **Dynamic batching** — same-shape requests are coalesced up to the
 //!   configured batch size or linger budget, each batch key lingering on
-//!   its own clock while its requests stay queued. An idle replica cuts
-//!   the batch (one replica forms at a time), so a batch is cut only
+//!   its own clock while its requests stay queued. Update keys are due
+//!   as soon as they are queued: an update batch runs its members one
+//!   by one, so waiting for batch-mates buys nothing. An idle replica
+//!   cuts the batch (one replica forms at a time), so a batch is cut only
 //!   when a replica can run it and a busy pool packs its backlog into
 //!   full batches; the replica then executes it with
 //!   [`heterosvd::Accelerator::run_many`]; every request in a batch of

@@ -206,9 +206,11 @@ pub struct LatencyRecord {
     /// Wall-clock time from that first sighting until the replica that
     /// cut the batch started it: waiting for batch-mates (the request's
     /// key lingers on its own clock, at most the configured max linger
-    /// counted from admission), plus any stretch in which every replica
-    /// turned busy before one cut it. A cut batch runs at once on the
-    /// replica that cut it; there is no dispatch wait.
+    /// counted from admission; an update key is due as soon as it is
+    /// queued and never waits for batch-mates), plus any stretch in
+    /// which every replica turned busy before one cut it. A cut batch
+    /// runs at once on the replica that cut it; there is no dispatch
+    /// wait.
     pub batch_linger: Duration,
     /// Simulated execution time charged to the request, in picoseconds.
     /// Decompose and apply requests are charged their batch's Eq. (14)
@@ -523,11 +525,23 @@ pub(crate) enum BatchKey {
         version: u64,
     },
     /// Update batches are shape-uniform like decompose, but execute
-    /// per-request (each rides its own cached basis and route).
+    /// per-request (each rides its own cached basis and route), so an
+    /// update key never lingers for batch-mates: it is due as soon as
+    /// it is queued.
     Update {
         rows: usize,
         cols: usize,
     },
+}
+
+impl BatchKey {
+    /// Whether the key's requests wait for batch-mates. Eq. 14 charges
+    /// a batch `⌈B / P_task⌉ · t_task`, so waiting pays only when the
+    /// members share one run: decompose and apply batches do, update
+    /// batches run their members one by one and share nothing.
+    pub(crate) fn lingers(self) -> bool {
+        !matches!(self, BatchKey::Update { .. })
+    }
 }
 
 /// A request travelling through the service internals.
@@ -700,6 +714,27 @@ pub(crate) mod fixtures {
             },
             factors,
         })
+    }
+
+    /// A cold Standard-class update request of `shape` from client
+    /// `id`, admitted now.
+    pub(crate) fn pending_update(id: u64, shape: (usize, usize)) -> PendingRequest {
+        PendingRequest {
+            id: RequestId(id),
+            payload: Payload::Update {
+                matrix: Matrix::zeros(shape.0, shape.1),
+                shape,
+                client: ClientId(id),
+                entry: None,
+                class: None,
+            },
+            state: RequestState::new(),
+            submitted_at: Instant::now(),
+            deadline: None,
+            seen_at: None,
+            class: SloClass::Standard,
+            poison: false,
+        }
     }
 
     /// A Standard-class apply request against `factors`, admitted now.

@@ -414,8 +414,8 @@ impl SvdService {
             inner.config.check_shape(matrix.rows(), matrix.cols())?;
             let shape = (matrix.rows(), matrix.cols());
             // Cast to the device's native f32 once, at admission (the
-            // fingerprint and classification run on exactly the bits the
-            // solve will see).
+            // classification runs on exactly the bits the solve will
+            // see).
             let matrix = matrix.cast::<f32>();
             let entry = inner.factor_cache.get(client);
             let class = entry
@@ -1100,7 +1100,7 @@ fn run_update_route(
             let sigma = updated.sigma.clone();
             // The full basis and spectrum stay stale (the warm-solve
             // budget bounds how long before a full refresh); only the
-            // truncated factors and the fingerprint advance.
+            // truncated factors and the delta baseline advance.
             inner.factor_cache.publish(FactorCacheEntry::new(
                 client,
                 matrix,

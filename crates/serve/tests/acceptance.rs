@@ -1,11 +1,11 @@
 //! Acceptance tests for the serving runtime's headline behaviors: exact
 //! backpressure at the queue bound, worker-panic containment with
 //! replica replacement, Eq. (14) batch time charging consistent with
-//! `Accelerator::run_many`, and batches cut only when a replica can run
-//! them.
+//! `Accelerator::run_many`, batches cut only when a replica can run
+//! them, and updates that never wait for batch-mates.
 
 use heterosvd::{Accelerator, HeteroSvdConfig};
-use heterosvd_serve::{ServeConfig, ServeError, SubmitOptions, SvdService};
+use heterosvd_serve::{ClientId, ServeConfig, ServeError, SubmitOptions, SvdService};
 use std::time::Duration;
 use svd_kernels::Matrix;
 
@@ -250,5 +250,33 @@ fn busy_pool_packs_its_backlog_into_one_batch() {
         assert_eq!(response.latency.batch_size, 8);
     }
     big.wait().expect("the large solve must complete");
+    service.shutdown();
+}
+
+/// Updates never wait for batch-mates: an update batch runs its members
+/// one by one, so waiting would buy no shared device work. A cold
+/// client's first update is cut as soon as it is queued, even under a
+/// 10 s linger.
+#[test]
+fn updates_do_not_linger_for_batch_mates() {
+    let service = SvdService::start(ServeConfig {
+        workers: 1,
+        max_linger: Duration::from_secs(10),
+        incremental: true,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let handle = service
+        .try_submit_update(ClientId(1), well_conditioned(16, 16, 0))
+        .unwrap();
+    let response = handle
+        .wait_timeout(Duration::from_secs(2))
+        .unwrap_or_else(|_| panic!("the update lingered for batch-mates"))
+        .expect("the update must complete");
+    assert!(
+        response.latency.batch_linger < Duration::from_secs(1),
+        "update lingered {:?}",
+        response.latency.batch_linger
+    );
     service.shutdown();
 }

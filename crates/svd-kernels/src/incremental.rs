@@ -165,7 +165,7 @@ pub fn classify_update<T: Real>(
             factor: None,
         });
     }
-    match factor_delta(&delta, max_update_rank) {
+    match factor_delta_with_norm(&delta, delta_norm, max_update_rank) {
         Some(factor) => Ok(UpdateClass {
             route: UpdateRoute::LowRank {
                 rank: factor.c.cols(),
@@ -191,12 +191,18 @@ pub fn classify_update<T: Real>(
 /// bumps. Returns `None` when no probe captures the delta to machine
 /// precision within the rank budget.
 pub fn factor_delta<T: Real>(delta: &Matrix<T>, max_rank: usize) -> Option<DeltaFactor<T>> {
+    factor_delta_with_norm(delta, delta.frobenius_norm(), max_rank)
+}
+
+/// [`factor_delta`] with `‖delta‖_F` already measured, so
+/// [`classify_update`] scans the delta for its norm only once.
+fn factor_delta_with_norm<T: Real>(
+    delta: &Matrix<T>,
+    total_norm: f64,
+    max_rank: usize,
+) -> Option<DeltaFactor<T>> {
     let (m, n) = (delta.rows(), delta.cols());
-    if max_rank == 0 || m == 0 || n == 0 {
-        return None;
-    }
-    let total_norm = delta.frobenius_norm();
-    if total_norm == 0.0 {
+    if max_rank == 0 || m == 0 || n == 0 || total_norm == 0.0 {
         return None;
     }
     // The dust floor: entries this far below the delta's own scale are
@@ -205,13 +211,10 @@ pub fn factor_delta<T: Real>(delta: &Matrix<T>, max_rank: usize) -> Option<Delta
     let floor = total_norm * T::EPSILON.to_f64() * 4.0;
     let floor_sq = floor * floor;
 
+    let (col_norm_sq, row_norm_sq) = col_row_norms_sq(delta);
+
     // ---- Probe 1: column-sparse delta.
-    let dirty_cols: Vec<usize> = (0..n)
-        .filter(|&j| {
-            let norm_sq: f64 = delta.col(j).iter().map(|x| x.to_f64() * x.to_f64()).sum();
-            norm_sq > floor_sq
-        })
-        .collect();
+    let dirty_cols: Vec<usize> = (0..n).filter(|&j| col_norm_sq[j] > floor_sq).collect();
     if !dirty_cols.is_empty() && dirty_cols.len() <= max_rank {
         let k = dirty_cols.len();
         let c = Matrix::from_fn(m, k, |i, j| delta[(i, dirty_cols[j])]);
@@ -230,12 +233,6 @@ pub fn factor_delta<T: Real>(delta: &Matrix<T>, max_rank: usize) -> Option<Delta
     }
 
     // ---- Probe 2: row-sparse delta (`Δ = Σ e_i·r_iᵀ`).
-    let mut row_norm_sq = vec![0.0_f64; m];
-    for j in 0..n {
-        for (i, x) in delta.col(j).iter().enumerate() {
-            row_norm_sq[i] += x.to_f64() * x.to_f64();
-        }
-    }
     let dirty_rows: Vec<usize> = (0..m).filter(|&i| row_norm_sq[i] > floor_sq).collect();
     if !dirty_rows.is_empty() && dirty_rows.len() <= max_rank {
         let k = dirty_rows.len();
@@ -317,6 +314,41 @@ pub fn factor_delta<T: Real>(delta: &Matrix<T>, max_rank: usize) -> Option<Delta
     } else {
         None
     }
+}
+
+/// Columns that one [`col_row_norms_sq`] scan advances in lockstep.
+const NORM_LANES: usize = 8;
+
+/// Squared column and row norms of `a`, filled in one scan. Every sum
+/// adds its terms in index order, so each is bit-identical to summing
+/// its column or row on its own. The scan advances [`NORM_LANES`]
+/// columns in lockstep, so their sums run as independent add chains
+/// rather than one serial chain.
+fn col_row_norms_sq<T: Real>(a: &Matrix<T>) -> (Vec<f64>, Vec<f64>) {
+    let (m, n) = (a.rows(), a.cols());
+    let mut col = vec![0.0_f64; n];
+    let mut row = vec![0.0_f64; m];
+    let split = n - n % NORM_LANES;
+    for j0 in (0..split).step_by(NORM_LANES) {
+        let cols: [&[T]; NORM_LANES] = std::array::from_fn(|t| a.col(j0 + t));
+        let mut sums = [0.0_f64; NORM_LANES];
+        for (i, r) in row.iter_mut().enumerate() {
+            for t in 0..NORM_LANES {
+                let x = cols[t][i].to_f64();
+                sums[t] += x * x;
+                *r += x * x;
+            }
+        }
+        col[j0..j0 + NORM_LANES].copy_from_slice(&sums);
+    }
+    for (j, sum) in col.iter_mut().enumerate().skip(split) {
+        for (r, x) in row.iter_mut().zip(a.col(j)) {
+            let x = x.to_f64();
+            *sum += x * x;
+            *r += x * x;
+        }
+    }
+    (col, row)
 }
 
 /// Completes an orthonormal-but-rank-deficient basis to a full rotation.
@@ -999,6 +1031,100 @@ mod tests {
         let dense = Matrix::from_fn(12, 8, |r, c| a0[(r, c)] + 0.02 * pseudo(12, 8, 69)[(r, c)]);
         let warm = classify_update(&dense, &a0, 0, &bound, 2).unwrap();
         assert_eq!(warm.route, UpdateRoute::WarmStart);
+    }
+
+    /// FNV-1a over the shape and element bits of each factor: a hash
+    /// that is stable across toolchains, unlike `DefaultHasher`.
+    fn factor_bits_hash(factor: &DeltaFactor<f32>) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325_u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
+            }
+        };
+        for m in [&factor.c, &factor.w] {
+            eat(m.rows() as u64);
+            eat(m.cols() as u64);
+            for &x in m.as_slice() {
+                eat(u64::from(x.to_bits()));
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn one_scan_norms_match_separate_sums() {
+        // 21 columns: two lockstep groups plus a 5-column tail.
+        let a = pseudo(13, 21, 91);
+        let (col, row) = col_row_norms_sq(&a);
+        for (j, &sum) in col.iter().enumerate() {
+            let alone: f64 = a.col(j).iter().map(|x| x * x).sum();
+            assert_eq!(sum.to_bits(), alone.to_bits(), "column {j}");
+        }
+        for (i, &sum) in row.iter().enumerate() {
+            let mut alone = 0.0_f64;
+            for j in 0..a.cols() {
+                alone += a[(i, j)] * a[(i, j)];
+            }
+            assert_eq!(sum.to_bits(), alone.to_bits(), "row {i}");
+        }
+    }
+
+    #[test]
+    fn classification_golden_at_128() {
+        // Pins the route, `delta_rel` and factor bits of the three
+        // low-rank probes on f32 deltas at the serving size, so a
+        // rewrite of the classifier's norm passes must stay bit-exact.
+        // The row-sparse delta dirties every column (probe 1 fails) and
+        // the dense rank-1 bump every row (probe 2 fails).
+        let n = 128;
+        let a0 = pseudo(n, n, 81);
+        let cols = perturb_cols(&a0, &[5, 40, 99], 0.01, 83);
+        let mut rows = a0.clone();
+        for j in 0..n {
+            rows[(17, j)] += 0.01 * ((j * 7 % 5) as f64 - 2.0);
+            rows[(90, j)] += 0.02 * ((j * 3 % 7) as f64 - 3.0);
+        }
+        // Dyadic factors keep the bump exact in f32, so its f32 delta is
+        // still exactly rank 1.
+        let dense = Matrix::from_fn(n, n, |r, c| {
+            let x = (r % 5) as f64 + 1.0;
+            let y = (c % 7) as f64 - 3.5;
+            a0[(r, c)] + x * y / 512.0
+        });
+        let prev = a0.cast::<f32>();
+        let bound = StalenessBound::default();
+        let got: Vec<(UpdateRoute, u64, u64)> = [&cols, &rows, &dense]
+            .into_iter()
+            .map(|a1| {
+                let class = classify_update(&a1.cast::<f32>(), &prev, 0, &bound, 8).unwrap();
+                (
+                    class.route,
+                    class.delta_rel.to_bits(),
+                    class.factor.as_ref().map_or(0, factor_bits_hash),
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (
+                    UpdateRoute::LowRank { rank: 3 },
+                    0x3f58_bba3_e737_2d87,
+                    0x9a7b_4909_4f29_9970
+                ),
+                (
+                    UpdateRoute::LowRank { rank: 2 },
+                    0x3f79_f7f1_6837_5330,
+                    0x1240_1670_0c9b_787e
+                ),
+                (
+                    UpdateRoute::LowRank { rank: 1 },
+                    0x3f97_2393_fc52_3972,
+                    0xfc69_c84a_61f7_f547
+                ),
+            ]
+        );
     }
 
     #[test]

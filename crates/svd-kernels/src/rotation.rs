@@ -169,7 +169,7 @@ pub(crate) fn reduce_lanes<T: Real>(l: [T; VECTOR_LANES]) -> T {
 ///
 /// Accumulates in [`VECTOR_LANES`]-wide chunks with one partial sum per
 /// lane (the vectorized form the orth-AIE executes), reduced by
-/// [`reduce_lanes`]; the trailing `len % VECTOR_LANES` elements are added
+/// `reduce_lanes`; the trailing `len % VECTOR_LANES` elements are added
 /// sequentially afterwards. The result is deterministic but differs from
 /// [`column_products_scalar`] by the usual floating-point reassociation
 /// error.

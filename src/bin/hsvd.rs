@@ -86,7 +86,8 @@ fn usage() -> &'static str {
        --rate RPS          open-loop arrival rate, req/s (default 5000)\n\
        --queue-cap N       admission queue bound (default 128)\n\
        --max-batch B       dynamic batcher size cap (default 8)\n\
-       --linger-us U       batcher linger budget in µs (default 500)\n\
+       --linger-us U       formation linger of decompose and apply keys,\n\
+     \x20                   in µs; update keys never linger (default 500)\n\
        --p-eng K           engine parallelism per replica (default 2)\n\
        --p-task T          task parallelism per replica (default 4)\n\
        --timing-only       skip numerics (timing model, 6 fixed sweeps;\n\
