@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Cycle-approximate simulator of the Versal ACAP compute fabric.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Calibrated models of the baselines HeteroSVD is compared against.
 //!

@@ -8,7 +8,8 @@
 //!
 //! `--quick` limits the sweeps to sizes ≤ 256 (the 512/1024 simulations
 //! take minutes). `--out DIR` additionally writes each experiment's rows
-//! as JSON for downstream plotting.
+//! as JSON for downstream plotting. An unknown name or flag, or `--out`
+//! without a directory, prints the usage and exits 2.
 
 use heterosvd_bench::experiments::{
     ablation, accuracy, adaptive, apply, autoscale, convergence, devices, dse_report, fig3, fig9,
@@ -70,112 +71,115 @@ fn emit<T: serde::Serialize>(name: &str, bench: &str, report: &T) {
     }
 }
 
+/// An experiment's entry point; the flag is `--quick`.
+type Experiment = fn(bool);
+
+/// Every experiment `repro` runs, in the order `all` runs them. Names
+/// on the command line are checked against this list, and `main`
+/// dispatches on it.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("table2", |quick| run_table2(sizes(quick))),
+    ("table3", |quick| run_table3(sizes(quick))),
+    ("table4", run_table4),
+    ("table5", run_table5),
+    ("table6", |_| run_table6()),
+    ("fig3", |_| run_fig3()),
+    ("fig5", |_| run_fig5()),
+    ("fig9", |quick| run_fig9(sizes(quick))),
+    ("dse", |quick| {
+        run_dse_report();
+        run_autoscale(quick);
+    }),
+    ("ablation", |_| run_ablation()),
+    ("pipeline", |_| run_pipeline()),
+    ("cpu", run_cpu),
+    ("scalability", run_scalability),
+    ("devices", |_| run_devices()),
+    ("convergence", run_convergence),
+    ("accuracy", run_accuracy),
+    ("hotpath", run_hotpath),
+    ("adaptive", run_adaptive),
+    ("serve", run_serve),
+    ("apply", run_apply),
+    ("pack", run_pack),
+    ("update", run_update),
+];
+
+/// The matrix sizes of the size sweeps.
+fn sizes(quick: bool) -> &'static [usize] {
+    if quick {
+        &[128, 256]
+    } else {
+        &[128, 256, 512, 1024]
+    }
+}
+
+/// A parsed command line.
+#[derive(Debug)]
+struct Args {
+    quick: bool,
+    out_dir: Option<String>,
+    /// Experiment names; empty (or containing `all`) runs every one.
+    selected: Vec<String>,
+}
+
+impl Args {
+    fn wants(&self, name: &str) -> bool {
+        self.selected.is_empty() || self.selected.iter().any(|s| s == "all" || s == name)
+    }
+}
+
+/// Parses `[--quick] [--out DIR] [NAME ...]`, rejecting an unknown
+/// flag, an unknown name, and `--out` without a directory after it.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        quick: false,
+        out_dir: None,
+        selected: Vec::new(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => parsed.quick = true,
+            "--out" => match it.next() {
+                Some(dir) if !dir.starts_with("--") => parsed.out_dir = Some(dir.clone()),
+                _ => return Err("--out needs a directory".into()),
+            },
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            name if name == "all" || EXPERIMENTS.iter().any(|(n, _)| *n == name) => {
+                parsed.selected.push(name.to_string())
+            }
+            name => return Err(format!("unknown experiment {name}")),
+        }
+    }
+    Ok(parsed)
+}
+
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+    format!(
+        "usage: repro [--quick] [--out DIR] [all | NAME ...]\nnames: {}",
+        names.join(" ")
+    )
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    if let Some(dir) = &out_dir {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("repro: {e}\n{}", usage());
+        std::process::exit(2);
+    });
+    if let Some(dir) = &args.out_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {dir}: {e}");
             std::process::exit(1);
         }
     }
-    set_out_dir(out_dir);
-    let mut skip_next = false;
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--out" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(String::as_str)
-        .collect();
-    let all = selected.is_empty() || selected.contains(&"all");
-    let want = |name: &str| all || selected.contains(&name);
-
-    let sizes: &[usize] = if quick {
-        &[128, 256]
-    } else {
-        &[128, 256, 512, 1024]
-    };
-
-    if want("table2") {
-        run_table2(sizes);
-    }
-    if want("table3") {
-        run_table3(sizes);
-    }
-    if want("table4") {
-        run_table4(quick);
-    }
-    if want("table5") {
-        run_table5(quick);
-    }
-    if want("table6") {
-        run_table6();
-    }
-    if want("fig3") {
-        run_fig3();
-    }
-    if want("fig5") {
-        run_fig5();
-    }
-    if want("fig9") {
-        run_fig9(sizes);
-    }
-    if want("dse") {
-        run_dse_report();
-        run_autoscale(quick);
-    }
-    if want("ablation") {
-        run_ablation();
-    }
-    if want("pipeline") {
-        run_pipeline();
-    }
-    if want("cpu") {
-        run_cpu(quick);
-    }
-    if want("scalability") {
-        run_scalability(quick);
-    }
-    if want("devices") {
-        run_devices();
-    }
-    if want("convergence") {
-        run_convergence(quick);
-    }
-    if want("accuracy") {
-        run_accuracy(quick);
-    }
-    if want("hotpath") {
-        run_hotpath(quick);
-    }
-    if want("adaptive") {
-        run_adaptive(quick);
-    }
-    if want("serve") {
-        run_serve(quick);
-    }
-    if want("apply") {
-        run_apply(quick);
-    }
-    if want("pack") {
-        run_pack(quick);
-    }
-    if want("update") {
-        run_update(quick);
+    set_out_dir(args.out_dir.clone());
+    for (name, run) in EXPERIMENTS {
+        if args.wants(name) {
+            run(args.quick);
+        }
     }
 }
 
@@ -561,25 +565,13 @@ fn run_hotpath(quick: bool) {
         }
     };
     println!(
-        "{:>20} | {:>12} {:>12} {:>12} {:>8} | {:>18}",
-        "variant", "ns/pass", "sweeps/s", "allocs/pass", "workers", "checksum"
+        "{:>20} | {:>12} {:>12} {:>12} | {:>18}",
+        "variant", "ns/pass", "sweeps/s", "allocs/pass", "checksum"
     );
     for r in &report.results {
         println!(
-            "{:>20} | {:>12.0} {:>12.3} {:>12.2} {:>8} | {:>18.6}",
-            r.variant,
-            r.ns_per_pass,
-            r.sweeps_per_sec,
-            r.allocations_per_pass,
-            r.workers,
-            r.checksum
-        );
-    }
-    if report.parallel_auto_degraded {
-        println!(
-            "optimized-parallel skipped (degraded): host reports {} hardware thread(s), a \
-             one-worker pool is serial plus coordination overhead",
-            report.host_parallelism
+            "{:>20} | {:>12.0} {:>12.3} {:>12.2} | {:>18.6}",
+            r.variant, r.ns_per_pass, r.sweeps_per_sec, r.allocations_per_pass, r.checksum
         );
     }
     emit("hotpath", "hotpath", &report);
@@ -1164,6 +1156,50 @@ fn run_dse_report() {
                 b.power_watts,
                 b.energy_efficiency
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn unknown_experiment_is_rejected() {
+        assert!(parse(&["--quick", "tabel2"]).is_err());
+    }
+
+    #[test]
+    fn out_needs_a_directory() {
+        assert!(parse(&["hotpath", "--out"]).is_err());
+        assert!(parse(&["--out", "--quick", "hotpath"]).is_err());
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected() {
+        assert!(parse(&["--quik", "hotpath"]).is_err());
+    }
+
+    #[test]
+    fn valid_command_lines_parse() {
+        let quick = parse(&["--quick"]).unwrap();
+        assert!(quick.quick && quick.selected.is_empty() && quick.wants("table2"));
+        let all = parse(&["all"]).unwrap();
+        assert!(!all.quick && all.wants("update"));
+        let out = parse(&["--out", "data", "pack"]).unwrap();
+        assert_eq!(out.out_dir.as_deref(), Some("data"));
+        assert!(out.wants("pack") && !out.wants("hotpath"));
+    }
+
+    #[test]
+    fn usage_lists_every_experiment() {
+        let usage = usage();
+        for (name, _) in EXPERIMENTS {
+            assert!(usage.contains(name), "{name} missing from usage");
         }
     }
 }

@@ -139,7 +139,6 @@ fn accelerator(
         .precision(precision)
         .fixed_iterations(FIXED_ITERATIONS)
         .adaptive_sweeps(adaptive)
-        .functional_parallelism(1)
         .build()?;
     Accelerator::new(cfg)
 }

@@ -1,19 +1,14 @@
 //! Hot-path microbenchmark: the orthogonalization sweep.
 //!
-//! Two variants run the same functional workload (one full round-robin
-//! sweep over every block pair):
+//! One variant, **optimized-serial**, runs the functional workload (one
+//! full round-robin sweep over every block pair) through the
+//! `OrthPipeline`: hoisted scratch, chunked 8-lane kernels, a shared
+//! [`heterosvd::PlanHandle`], and the one serial rotation path.
 //!
-//! * **optimized-serial** — the `OrthPipeline` (hoisted scratch,
-//!   chunked 8-lane kernels, shared [`heterosvd::PlanHandle`]) with
-//!   `functional_parallelism = 1`.
-//! * **optimized-parallel** — the same pipeline driving a
-//!   [`svd_kernels::parallel::RotationPool`].
-//!
-//! Reported per variant: mean ns per block-pair pass, full sweeps per
-//! second, heap allocations per pass (from a counting allocator the
-//! calling binary installs), and a matrix checksum after the measured
-//! sweeps — the serial and parallel optimized variants must agree on
-//! it bit for bit.
+//! Reported: mean ns per block-pair pass, full sweeps per second, heap
+//! allocations per pass (from a counting allocator the calling binary
+//! installs), and a matrix checksum after the measured sweeps, which a
+//! test pins bit for bit.
 
 use heterosvd::orth_pipeline::OrthPipeline;
 use heterosvd::{HeteroSvdConfig, HeteroSvdError, PlanHandle};
@@ -22,7 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use svd_kernels::block::{BlockPairSchedule, BlockPartition};
-use svd_kernels::parallel::with_pool;
 use svd_kernels::Matrix;
 
 /// Counting [`GlobalAlloc`] for the binaries that drive this benchmark.
@@ -73,7 +67,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// One measured variant of the sweep hot path.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct HotpathRow {
-    /// `optimized-serial` or `optimized-parallel`.
+    /// Always `optimized-serial`, the one rotation path.
     pub variant: String,
     /// Mean wall-clock nanoseconds per block-pair pass.
     pub ns_per_pass: f64,
@@ -81,11 +75,8 @@ pub struct HotpathRow {
     pub sweeps_per_sec: f64,
     /// Heap allocations per pass during the measured sweeps.
     pub allocations_per_pass: f64,
-    /// Sum of all matrix entries after the measured sweeps (bit-exact
-    /// agreement expected between the two optimized variants).
+    /// Sum of all matrix entries after the warm-up and measured sweeps.
     pub checksum: f64,
-    /// Rotation-pool workers used (1 for the serial variants).
-    pub workers: usize,
 }
 
 /// The complete hot-path report (serialized to `BENCH_hotpath.json`).
@@ -97,22 +88,10 @@ pub struct HotpathReport {
     pub p_eng: usize,
     /// Block-pair passes in one full sweep.
     pub passes_per_sweep: usize,
-    /// Measured sweeps per variant (after one warm-up sweep).
+    /// Measured sweeps (after one warm-up sweep).
     pub measured_sweeps: usize,
-    /// One row per measured variant (the parallel row is absent when
-    /// the host degrades it, see [`Self::parallel_status`]).
+    /// One row per measured variant.
     pub results: Vec<HotpathRow>,
-    /// `"measured"`, or `"degraded"` when `functional_parallelism`
-    /// auto-degrades to one worker (single-hardware-thread host). A
-    /// degraded pool is the serial path plus coordination overhead
-    /// (measured ~1.7x *slower* than serial), so the variant is skipped
-    /// rather than published as a parallel number.
-    pub parallel_status: String,
-    /// `std::thread::available_parallelism()` on the benchmarking host.
-    pub host_parallelism: usize,
-    /// Whether `functional_parallelism` was auto-degraded to serial
-    /// because the host has a single hardware thread.
-    pub parallel_auto_degraded: bool,
 }
 
 fn test_matrix(n: usize) -> Matrix<f32> {
@@ -125,16 +104,15 @@ fn checksum(b: &Matrix<f32>) -> f64 {
     b.as_slice().iter().map(|&x| x as f64).sum()
 }
 
-fn config(n: usize, p_eng: usize, workers: usize) -> Result<HeteroSvdConfig, HeteroSvdError> {
+fn config(n: usize, p_eng: usize) -> Result<HeteroSvdConfig, HeteroSvdError> {
     HeteroSvdConfig::builder(n, n)
         .engine_parallelism(p_eng)
-        .functional_parallelism(workers)
         .pl_freq_mhz(208.3)
         .build()
 }
 
-/// Measures both variants on an `n×n` functional workload and
-/// returns the report. `alloc_count` reads the calling binary's
+/// Measures the sweep on an `n×n` functional workload and returns the
+/// report. `alloc_count` reads the calling binary's
 /// [`CountingAllocator`] (pass `&|| 0` to skip allocation accounting).
 pub fn run(
     n: usize,
@@ -143,7 +121,7 @@ pub fn run(
     alloc_count: &dyn Fn() -> u64,
 ) -> Result<HotpathReport, HeteroSvdError> {
     assert!(measured_sweeps > 0, "need at least one measured sweep");
-    let cfg_serial = config(n, p_eng, 1)?;
+    let cfg = config(n, p_eng)?;
     let passes_per_sweep = {
         let p = BlockPartition::new(n, p_eng)
             .expect("validated")
@@ -151,103 +129,45 @@ pub fn run(
         BlockPairSchedule::round_robin(p).iter().count()
     };
 
-    let mut results = Vec::with_capacity(2);
-
-    // ---- Optimized serial. ----
-    {
-        let plan = PlanHandle::build(&cfg_serial)?;
-        let mut pipe = OrthPipeline::new(&cfg_serial, &plan);
-        let mut b = test_matrix(n);
-        pipe.set_norm_floor_sq(b.column_norm_floor_sq());
-        pipe.run_iteration(&mut b); // warm-up
-        let allocs_before = alloc_count();
-        let start = Instant::now();
-        for _ in 0..measured_sweeps {
-            pipe.run_iteration(&mut b);
-        }
-        let elapsed = start.elapsed();
-        results.push(row(
-            "optimized-serial",
-            elapsed,
-            measured_sweeps,
-            passes_per_sweep,
-            alloc_count() - allocs_before,
-            checksum(&b),
-            1,
-        ));
+    let plan = PlanHandle::build(&cfg)?;
+    let mut pipe = OrthPipeline::new(&cfg, &plan);
+    let mut b = test_matrix(n);
+    pipe.set_norm_floor_sq(b.column_norm_floor_sq());
+    pipe.run_iteration(&mut b); // warm-up
+    let allocs_before = alloc_count();
+    let start = Instant::now();
+    for _ in 0..measured_sweeps {
+        pipe.run_iteration(&mut b);
     }
-
-    // ---- Optimized parallel (skipped when degraded to one worker:
-    // a one-worker pool is the serial path plus coordination overhead,
-    // and publishing it as "parallel" misreads as a parallel speedup). ----
-    let cfg_parallel = config(n, p_eng, svd_kernels::parallel::available_workers())?;
-    let parallel_workers = cfg_parallel.effective_functional_workers();
-    let parallel_degraded = parallel_workers <= 1;
-    if !parallel_degraded {
-        let plan = PlanHandle::build(&cfg_parallel)?;
-        let mut pipe = OrthPipeline::new(&cfg_parallel, &plan);
-        let mut b = test_matrix(n);
-        pipe.set_norm_floor_sq(b.column_norm_floor_sq());
-        let (elapsed, allocs) = with_pool(parallel_workers, |pool| {
-            pipe.run_iteration_with(&mut b, Some(pool)); // warm-up
-            let allocs_before = alloc_count();
-            let start = Instant::now();
-            for _ in 0..measured_sweeps {
-                pipe.run_iteration_with(&mut b, Some(pool));
-            }
-            (start.elapsed(), alloc_count() - allocs_before)
-        });
-        results.push(row(
-            "optimized-parallel",
-            elapsed,
-            measured_sweeps,
-            passes_per_sweep,
-            allocs,
-            checksum(&b),
-            parallel_workers,
-        ));
-    }
+    let elapsed = start.elapsed();
+    let serial = row(
+        "optimized-serial",
+        elapsed,
+        measured_sweeps,
+        passes_per_sweep,
+        alloc_count() - allocs_before,
+        checksum(&b),
+    );
 
     Ok(HotpathReport {
         n,
         p_eng,
         passes_per_sweep,
         measured_sweeps,
-        parallel_status: if parallel_degraded {
-            "degraded".to_string()
-        } else {
-            "measured".to_string()
-        },
-        host_parallelism: svd_kernels::parallel::available_workers(),
-        parallel_auto_degraded: parallel_degraded,
-        results,
+        results: vec![serial],
     })
 }
 
-/// Runs `sweeps` optimized sweeps (`workers = 1` for serial) on a fresh
-/// `n×n` workload and returns the final matrix checksum.
-pub fn sweep_optimized(
-    n: usize,
-    p_eng: usize,
-    workers: usize,
-    sweeps: usize,
-) -> Result<f64, HeteroSvdError> {
-    let cfg = config(n, p_eng, workers)?;
-    let workers = cfg.effective_functional_workers();
+/// Runs `sweeps` optimized sweeps on a fresh `n×n` workload and returns
+/// the final matrix checksum.
+pub fn sweep_optimized(n: usize, p_eng: usize, sweeps: usize) -> Result<f64, HeteroSvdError> {
+    let cfg = config(n, p_eng)?;
     let plan = PlanHandle::build(&cfg)?;
     let mut pipe = OrthPipeline::new(&cfg, &plan);
     let mut b = test_matrix(n);
     pipe.set_norm_floor_sq(b.column_norm_floor_sq());
-    if workers > 1 {
-        with_pool(workers, |pool| {
-            for _ in 0..sweeps {
-                pipe.run_iteration_with(&mut b, Some(pool));
-            }
-        });
-    } else {
-        for _ in 0..sweeps {
-            pipe.run_iteration(&mut b);
-        }
+    for _ in 0..sweeps {
+        pipe.run_iteration(&mut b);
     }
     Ok(checksum(&b))
 }
@@ -259,7 +179,6 @@ fn row(
     passes_per_sweep: usize,
     allocations: u64,
     checksum: f64,
-    workers: usize,
 ) -> HotpathRow {
     let total_passes = (sweeps * passes_per_sweep) as f64;
     let secs = elapsed.as_secs_f64();
@@ -269,7 +188,6 @@ fn row(
         sweeps_per_sec: sweeps as f64 / secs,
         allocations_per_pass: allocations as f64 / total_passes,
         checksum,
-        workers,
     }
 }
 
@@ -277,41 +195,30 @@ fn row(
 mod tests {
     use super::*;
 
-    /// The report is internally consistent on a small workload; on a
-    /// multi-core host the optimized serial and parallel variants agree
-    /// bit for bit, and on a single-thread host the parallel variant is
-    /// recorded as degraded instead of being measured.
+    /// The report is internally consistent on a small workload, and its
+    /// checksum is the one `sweep_optimized` reaches after the same
+    /// warm-up plus measured sweeps.
     #[test]
     fn small_workload_report_is_consistent() {
         let report = run(32, 4, 2, &|| 0).unwrap();
         assert_eq!(report.n, 32);
-        for r in &report.results {
-            assert!(
-                r.ns_per_pass > 0.0,
-                "{}: ns/pass must be positive",
-                r.variant
-            );
-            assert!(r.sweeps_per_sec > 0.0);
-            assert!(r.checksum.is_finite());
-        }
-        if report.parallel_auto_degraded {
-            assert_eq!(report.results.len(), 1, "degraded parallel must be skipped");
-            assert_eq!(report.parallel_status, "degraded");
-            assert!(!report
-                .results
-                .iter()
-                .any(|r| r.variant == "optimized-parallel"));
-        } else {
-            assert_eq!(report.results.len(), 2);
-            assert_eq!(report.parallel_status, "measured");
-            let serial = &report.results[0];
-            let parallel = &report.results[1];
-            assert!(parallel.workers > 1);
-            assert_eq!(
-                serial.checksum.to_bits(),
-                parallel.checksum.to_bits(),
-                "optimized serial and parallel sweeps must agree bit for bit"
-            );
-        }
+        assert_eq!(report.results.len(), 1);
+        let r = &report.results[0];
+        assert_eq!(r.variant, "optimized-serial");
+        assert!(r.ns_per_pass > 0.0, "ns/pass must be positive");
+        assert!(r.sweeps_per_sec > 0.0);
+        assert_eq!(
+            r.checksum.to_bits(),
+            sweep_optimized(32, 4, 3).unwrap().to_bits()
+        );
+    }
+
+    /// The 256², P_eng 4 sweep checksum after 3 sweeps, bit for bit: the
+    /// `optimized-serial` checksum `repro -- --quick hotpath` reports
+    /// (1 warm-up plus 2 measured sweeps).
+    #[test]
+    fn sweep_checksum_matches_the_recorded_golden() {
+        let checksum = sweep_optimized(256, 4, 3).unwrap();
+        assert_eq!(checksum.to_bits(), 55.89098860984086_f64.to_bits());
     }
 }

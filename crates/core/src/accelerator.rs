@@ -13,7 +13,6 @@ use aie_sim::stats::SimStats;
 use aie_sim::time::TimePs;
 use std::sync::Arc;
 use svd_kernels::jacobi::{SvdResult, SweepStats};
-use svd_kernels::parallel::{with_pool, RotationPool};
 use svd_kernels::{Matrix, SvdError};
 
 /// Sweep accounting of a warm-started run (see
@@ -147,10 +146,9 @@ impl Accelerator {
         self.run_owned(a.clone())
     }
 
-    /// Core driver: consumes the working copy `b` directly (no second
-    /// buffer), parallelizing functional rotations per the configured
-    /// [`HeteroSvdConfig::functional_parallelism`].
-    pub(crate) fn run_owned(&self, b: Matrix<f32>) -> Result<HeteroSvdOutput, HeteroSvdError> {
+    /// Core driver: runs the full Algorithm 1 on the working copy `b`,
+    /// consumed directly (no second buffer).
+    pub(crate) fn run_owned(&self, mut b: Matrix<f32>) -> Result<HeteroSvdOutput, HeteroSvdError> {
         let cfg = &self.config;
         if b.rows() != cfg.rows || b.cols() != cfg.cols {
             return Err(HeteroSvdError::InvalidConfig(format!(
@@ -164,23 +162,6 @@ impl Accelerator {
         if cfg.fidelity == FidelityMode::Functional && !b.is_finite() {
             return Err(HeteroSvdError::Numeric(SvdError::NonFinite));
         }
-        let workers = cfg.effective_functional_workers();
-        if workers > 1 {
-            with_pool(workers, |pool| self.run_inner(b, Some(pool)))
-        } else {
-            self.run_inner(b, None)
-        }
-    }
-
-    /// Runs the full Algorithm 1 on the working copy `b`, optionally
-    /// distributing each layer's rotations across `pool` (bit-identical
-    /// to the serial path by construction).
-    fn run_inner(
-        &self,
-        mut b: Matrix<f32>,
-        pool: Option<&RotationPool>,
-    ) -> Result<HeteroSvdOutput, HeteroSvdError> {
-        let cfg = &self.config;
         let mut stats = SimStats::new();
         let mut timing = TimingBreakdown::default();
 
@@ -216,7 +197,7 @@ impl Accelerator {
 
         while system.phase() == crate::pl_modules::Phase::Orthogonalizing {
             pipe.set_rotation_threshold(system.rotation_threshold());
-            let outcome = pipe.run_iteration_with(&mut b, pool);
+            let outcome = pipe.run_iteration(&mut b);
             orth_end = outcome.end;
             timing.iteration_ends.push(outcome.end);
             history.push(SweepStats {

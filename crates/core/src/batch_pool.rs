@@ -151,7 +151,8 @@ fn worker_main(jobs: Arc<Mutex<Receiver<Job>>>) {
 pub fn global() -> &'static BatchPool {
     static GLOBAL: OnceLock<BatchPool> = OnceLock::new();
     GLOBAL.get_or_init(|| {
-        BatchPool::new(svd_kernels::parallel::available_workers().clamp(1, MAX_BATCH_WORKERS))
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        BatchPool::new(host.clamp(1, MAX_BATCH_WORKERS))
     })
 }
 

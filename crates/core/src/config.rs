@@ -58,12 +58,6 @@ pub struct HeteroSvdConfig {
     /// Record a per-pass execution trace (see
     /// [`crate::orth_pipeline::PassRecord`]); off by default.
     pub record_trace: bool,
-    /// Worker threads applying a layer's independent column-pair
-    /// rotations in functional mode (default `1`, fully serial: on a
-    /// 2-vCPU host the pooled path measured 2–3.5× slower than serial
-    /// at 256², `P_eng` 4). Results are bit-identical at any setting;
-    /// this knob only changes host-side wall-clock.
-    pub functional_parallelism: usize,
     /// Replay the plan's cached timing profile instead of re-simulating
     /// every `Timeline` (default on). Replay is exact by construction —
     /// the clock is data-independent and the profile is only used when
@@ -133,30 +127,6 @@ impl HeteroSvdConfig {
     pub fn geometry(&self) -> ArrayGeometry {
         self.device.geometry
     }
-
-    /// The worker-thread count the functional hot path actually uses:
-    /// capped at `P_eng` (a layer has at most `P_eng` independent
-    /// pairs), forced to 1 outside functional fidelity (timing-only
-    /// runs perform no rotations worth parallelizing), and auto-degraded
-    /// to the serial path on single-hardware-thread hosts.
-    pub fn effective_functional_workers(&self) -> usize {
-        self.effective_functional_workers_on(svd_kernels::parallel::available_workers())
-    }
-
-    /// [`HeteroSvdConfig::effective_functional_workers`] for a host
-    /// reporting `host_threads` hardware threads (factored out so the
-    /// degrade policy is testable on any machine). With one hardware
-    /// thread the `RotationPool` only adds claim/wake overhead while its
-    /// workers time-slice a single core — measurably slower than serial
-    /// (BENCH_hotpath.json) — so such hosts always get the serial path.
-    pub fn effective_functional_workers_on(&self, host_threads: usize) -> usize {
-        if self.fidelity != FidelityMode::Functional || host_threads <= 1 {
-            return 1;
-        }
-        self.functional_parallelism
-            .min(self.engine_parallelism)
-            .max(1)
-    }
 }
 
 /// Builder for [`HeteroSvdConfig`] (see [`HeteroSvdConfig::builder`]).
@@ -174,6 +144,8 @@ pub struct HeteroSvdConfigBuilder {
     fixed_iterations: Option<usize>,
     fidelity: FidelityMode,
     record_trace: bool,
+    /// Value given to the hidden `functional_parallelism` shim; `build`
+    /// accepts only 1.
     functional_parallelism: usize,
     timing_replay: bool,
     adaptive_sweeps: bool,
@@ -271,9 +243,11 @@ impl HeteroSvdConfigBuilder {
         self
     }
 
-    /// Sets the host-side worker count for functional-mode rotations
-    /// (default `1` = serial). Must be `>= 1`. Any setting produces
-    /// bit-identical results.
+    /// Kept so callers that pass `.functional_parallelism(1)` still
+    /// compile. Functional rotations run on one serial path, so `build`
+    /// rejects any other value, and the configuration does not record
+    /// it.
+    #[doc(hidden)]
     pub fn functional_parallelism(mut self, workers: usize) -> Self {
         self.functional_parallelism = workers;
         self
@@ -385,10 +359,11 @@ impl HeteroSvdConfigBuilder {
                 "fixed_iterations must be at least 1".into(),
             ));
         }
-        if self.functional_parallelism == 0 {
-            return Err(HeteroSvdError::InvalidConfig(
-                "functional_parallelism must be at least 1".into(),
-            ));
+        if self.functional_parallelism != 1 {
+            return Err(HeteroSvdError::InvalidConfig(format!(
+                "functional rotations run serially: functional_parallelism must be 1, got {}",
+                self.functional_parallelism
+            )));
         }
         if self.co_residency == 0 {
             return Err(HeteroSvdError::InvalidConfig(
@@ -422,7 +397,6 @@ impl HeteroSvdConfigBuilder {
             fixed_iterations: self.fixed_iterations,
             fidelity: self.fidelity,
             record_trace: self.record_trace,
-            functional_parallelism: self.functional_parallelism,
             timing_replay: self.timing_replay,
             adaptive_sweeps: self.adaptive_sweeps,
             co_residency: self.co_residency,
@@ -523,49 +497,22 @@ mod tests {
 
     #[test]
     fn functional_parallelism_defaults_and_validates() {
-        // Serial by default, whatever the host's thread count.
-        let c = HeteroSvdConfig::builder(128, 128).build().unwrap();
-        assert_eq!(c.functional_parallelism, 1);
-        assert_eq!(c.effective_functional_workers_on(8), 1);
-        let c = HeteroSvdConfig::builder(128, 128)
-            .functional_parallelism(3)
-            .build()
-            .unwrap();
-        assert_eq!(c.functional_parallelism, 3);
-        // Capped at P_eng = 4 for the effective count, never below 1.
-        assert_eq!(c.effective_functional_workers_on(8), 3);
-        let wide = HeteroSvdConfig::builder(128, 128)
-            .functional_parallelism(64)
-            .build()
-            .unwrap();
-        assert_eq!(wide.effective_functional_workers_on(8), 4);
-        let timing = HeteroSvdConfig::builder(128, 128)
-            .functional_parallelism(64)
-            .fidelity(FidelityMode::TimingOnly)
-            .fixed_iterations(6)
-            .build()
-            .unwrap();
-        assert_eq!(timing.effective_functional_workers_on(8), 1);
-        assert!(HeteroSvdConfig::builder(128, 128)
-            .functional_parallelism(0)
-            .build()
-            .is_err());
-    }
-
-    #[test]
-    fn single_thread_hosts_degrade_to_serial() {
-        let c = HeteroSvdConfig::builder(128, 128)
-            .functional_parallelism(4)
-            .build()
-            .unwrap();
-        // One hardware thread: the pool would only add overhead.
-        assert_eq!(c.effective_functional_workers_on(1), 1);
-        assert_eq!(c.effective_functional_workers_on(2), 4);
-        // The live query agrees with the pure policy for this host.
+        // The hidden shim accepts only the serial setting.
+        let built = |workers| {
+            HeteroSvdConfig::builder(128, 128)
+                .functional_parallelism(workers)
+                .build()
+        };
         assert_eq!(
-            c.effective_functional_workers(),
-            c.effective_functional_workers_on(svd_kernels::parallel::available_workers())
+            built(1).unwrap(),
+            HeteroSvdConfig::builder(128, 128).build().unwrap()
         );
+        for workers in [0, 2] {
+            assert!(
+                matches!(built(workers), Err(HeteroSvdError::InvalidConfig(_))),
+                "functional_parallelism({workers}) must be rejected"
+            );
+        }
     }
 
     #[test]

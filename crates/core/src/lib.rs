@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! HeteroSVD: a block-Jacobi SVD accelerator on the (simulated) Versal
 //! ACAP — reproduction of the DAC 2025 paper's primary contribution.

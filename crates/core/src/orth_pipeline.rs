@@ -29,8 +29,8 @@
 //!   cost models) lives in the shared [`PlanHandle`] and is *borrowed*,
 //!   never cloned, per layer;
 //! * mutable scratch (`col_avail`, `prev_end`, `slot_ready`,
-//!   `layer_end`, pair/column/convergence buffers) lives in
-//!   `PassScratch`, sized at construction and reused via
+//!   `layer_end`, the block pair's column indices, the adaptive state)
+//!   lives in `PassScratch`, sized at construction and reused via
 //!   `clear()`/overwrite every pass;
 //! * all transfer/kernel durations depend only on the configuration, so
 //!   they are computed once in [`OrthPipeline::new`].
@@ -47,9 +47,7 @@ use aie_sim::time::TimePs;
 use aie_sim::timeline::Timeline;
 use std::sync::Arc;
 use svd_kernels::adaptive::{did_rotate, AdaptiveState};
-use svd_kernels::parallel::{
-    orthogonalize_pairs_serial, orthogonalize_pairs_serial_adaptive, RotationPool,
-};
+use svd_kernels::rotation::orthogonalize_pair_gated;
 use svd_kernels::Matrix;
 
 /// One block-pair pass in the execution trace (enabled with
@@ -92,10 +90,6 @@ struct PassScratch {
     layer_end: Vec<TimePs>,
     /// Global column indices of the current block pair (capacity `2k`).
     cols: Vec<usize>,
-    /// Global column-index pairs of the current layer (capacity `k`).
-    pairs: Vec<(usize, usize)>,
-    /// Per-slot convergence values of the current layer (len `k`).
-    conv: Vec<f32>,
     /// Dirty-column/pair-cache state of the convergence-adaptive engine
     /// (`None` with [`crate::HeteroSvdConfig::adaptive_sweeps`] off or
     /// outside functional fidelity). Sized once at construction — the
@@ -227,8 +221,6 @@ impl<'a> OrthPipeline<'a> {
                 slot_ready: vec![TimePs::ZERO; k],
                 layer_end: vec![TimePs::ZERO; k],
                 cols: Vec::with_capacity(2 * k),
-                pairs: Vec::with_capacity(k),
-                conv: vec![0.0; k],
                 adaptive: (config.adaptive_sweeps && config.fidelity == FidelityMode::Functional)
                     .then(|| AdaptiveState::new(config.cols)),
             },
@@ -362,20 +354,8 @@ impl<'a> OrthPipeline<'a> {
     }
 
     /// Runs one full iteration over all block pairs, updating `b` in
-    /// place when the fidelity is functional (serial rotations).
+    /// place when the fidelity is functional.
     pub fn run_iteration(&mut self, b: &mut Matrix<f32>) -> IterationOutcome {
-        self.run_iteration_with(b, None)
-    }
-
-    /// [`OrthPipeline::run_iteration`] with an optional worker pool: a
-    /// layer's independent rotations are distributed across the pool,
-    /// producing bit-identical results to the serial path (disjoint
-    /// columns; convergence reduced in slot order).
-    pub fn run_iteration_with(
-        &mut self,
-        b: &mut Matrix<f32>,
-        pool: Option<&RotationPool>,
-    ) -> IterationOutcome {
         // Span bracketing is observational: the modeled clock below never
         // reads the wall clock, so the knob cannot perturb timing. The
         // journal's ring is preallocated and sampled-out spans are two
@@ -389,9 +369,9 @@ impl<'a> OrthPipeline<'a> {
         }
         let outcome = if self.replay_active {
             let profile = Arc::clone(self.replay.as_ref().expect("replay_active implies profile"));
-            self.run_iteration_replay(&profile, b, pool)
+            self.run_iteration_replay(&profile, b)
         } else {
-            self.run_iteration_live(b, pool)
+            self.run_iteration_live(b)
         };
         if let Some(t0) = span_start {
             crate::obs::global().record(
@@ -405,11 +385,7 @@ impl<'a> OrthPipeline<'a> {
     }
 
     /// One fully live-simulated iteration (every `Timeline` scheduled).
-    fn run_iteration_live(
-        &mut self,
-        b: &mut Matrix<f32>,
-        pool: Option<&RotationPool>,
-    ) -> IterationOutcome {
+    fn run_iteration_live(&mut self, b: &mut Matrix<f32>) -> IterationOutcome {
         let plan = self.plan;
         let mut max_conv = 0.0_f64;
         let mut rotations = 0usize;
@@ -424,7 +400,7 @@ impl<'a> OrthPipeline<'a> {
         debug_assert!(plan.partition.num_blocks() >= 2, "block count must be >= 2");
         for (pass, (u, v)) in plan.pair_schedule.iter().enumerate() {
             let ready = self.block_ready[u].max(self.block_ready[v]);
-            let end = self.run_pass(b, u, v, pool, &mut max_conv, &mut rotations);
+            let end = self.run_pass(b, u, v, &mut max_conv, &mut rotations);
             if self.config.record_trace {
                 self.trace.push(PassRecord {
                     iteration: self.iterations_run,
@@ -456,7 +432,6 @@ impl<'a> OrthPipeline<'a> {
         &mut self,
         profile: &TimingProfile,
         b: &mut Matrix<f32>,
-        pool: Option<&RotationPool>,
     ) -> IterationOutcome {
         let plan = self.plan;
         let iteration = self.iterations_run;
@@ -470,58 +445,7 @@ impl<'a> OrthPipeline<'a> {
                 self.scratch.cols.extend(plan.partition.block_range(u));
                 self.scratch.cols.extend(plan.partition.block_range(v));
                 for layer in 0..layers {
-                    let pairs = &plan.schedule.layers()[layer].pairs_by_slot;
-                    self.scratch.pairs.clear();
-                    for &(i, j) in pairs.iter() {
-                        self.scratch
-                            .pairs
-                            .push((self.scratch.cols[i], self.scratch.cols[j]));
-                    }
-                    match (pool, self.scratch.adaptive.as_mut()) {
-                        (Some(pool), Some(state)) => pool.execute_adaptive(
-                            b,
-                            &self.scratch.pairs,
-                            self.norm_floor_sq,
-                            &mut self.scratch.conv,
-                            state,
-                        ),
-                        (Some(pool), None) => pool.execute(
-                            b,
-                            &self.scratch.pairs,
-                            self.norm_floor_sq,
-                            &mut self.scratch.conv,
-                        ),
-                        (None, Some(state)) => orthogonalize_pairs_serial_adaptive(
-                            b,
-                            &self.scratch.pairs,
-                            self.norm_floor_sq,
-                            &mut self.scratch.conv,
-                            state,
-                        ),
-                        (None, None) => orthogonalize_pairs_serial(
-                            b,
-                            &self.scratch.pairs,
-                            self.norm_floor_sq,
-                            &mut self.scratch.conv,
-                        ),
-                    }
-                    // Reduce in slot order, exactly like the live path.
-                    // Without the adaptive state the threshold is 0 and
-                    // `did_rotate` degenerates to the legacy `conv > 0`.
-                    let threshold = self
-                        .scratch
-                        .adaptive
-                        .as_ref()
-                        .map_or(0.0, |s| s.threshold());
-                    for &conv in &self.scratch.conv[..pairs.len()] {
-                        if did_rotate(conv, threshold) {
-                            rotations += 1;
-                        }
-                        let conv = conv as f64;
-                        if conv > max_conv {
-                            max_conv = conv;
-                        }
-                    }
+                    self.rotate_layer(b, layer, &mut max_conv, &mut rotations);
                 }
             }
         }
@@ -554,7 +478,6 @@ impl<'a> OrthPipeline<'a> {
         b: &mut Matrix<f32>,
         u: usize,
         v: usize,
-        pool: Option<&RotationPool>,
         max_conv: &mut f64,
         rotations: &mut usize,
     ) -> TimePs {
@@ -601,58 +524,7 @@ impl<'a> OrthPipeline<'a> {
                 self.stats.orth_busy += self.orth_dur;
             }
             if functional {
-                self.scratch.pairs.clear();
-                for &(i, j) in pairs.iter() {
-                    self.scratch
-                        .pairs
-                        .push((self.scratch.cols[i], self.scratch.cols[j]));
-                }
-                match (pool, self.scratch.adaptive.as_mut()) {
-                    (Some(pool), Some(state)) => pool.execute_adaptive(
-                        b,
-                        &self.scratch.pairs,
-                        self.norm_floor_sq,
-                        &mut self.scratch.conv,
-                        state,
-                    ),
-                    (Some(pool), None) => pool.execute(
-                        b,
-                        &self.scratch.pairs,
-                        self.norm_floor_sq,
-                        &mut self.scratch.conv,
-                    ),
-                    (None, Some(state)) => orthogonalize_pairs_serial_adaptive(
-                        b,
-                        &self.scratch.pairs,
-                        self.norm_floor_sq,
-                        &mut self.scratch.conv,
-                        state,
-                    ),
-                    (None, None) => orthogonalize_pairs_serial(
-                        b,
-                        &self.scratch.pairs,
-                        self.norm_floor_sq,
-                        &mut self.scratch.conv,
-                    ),
-                }
-                // Reduce in slot order so the serial and parallel paths
-                // accumulate identically. Without the adaptive state the
-                // threshold is 0 and `did_rotate` degenerates to the
-                // legacy `conv > 0` count.
-                let threshold = self
-                    .scratch
-                    .adaptive
-                    .as_ref()
-                    .map_or(0.0, |s| s.threshold());
-                for &conv in &self.scratch.conv[..pairs.len()] {
-                    if did_rotate(conv, threshold) {
-                        *rotations += 1;
-                    }
-                    let conv = conv as f64;
-                    if conv > *max_conv {
-                        *max_conv = conv;
-                    }
-                }
+                self.rotate_layer(b, layer, max_conv, rotations);
             }
             std::mem::swap(&mut self.scratch.prev_end, &mut self.scratch.layer_end);
         }
@@ -678,6 +550,44 @@ impl<'a> OrthPipeline<'a> {
         self.block_ready[u] = block_u_end + self.hls_dur;
         self.block_ready[v] = block_v_end + self.hls_dur;
         self.block_ready[u].max(self.block_ready[v])
+    }
+
+    /// Rotates `layer`'s column pairs of the current block pair
+    /// (`scratch.cols`) in slot order, raising `max_conv` to the largest
+    /// Eq. (6) measure and counting the rotations applied. Without the
+    /// adaptive state the threshold is 0 and `did_rotate` degenerates to
+    /// the legacy `conv > 0` count.
+    fn rotate_layer(
+        &mut self,
+        b: &mut Matrix<f32>,
+        layer: usize,
+        max_conv: &mut f64,
+        rotations: &mut usize,
+    ) {
+        let plan = self.plan;
+        let floor_sq = self.norm_floor_sq;
+        let threshold = self
+            .scratch
+            .adaptive
+            .as_ref()
+            .map_or(0.0, |s| s.threshold());
+        for &(i, j) in &plan.schedule.layers()[layer].pairs_by_slot {
+            let (u, v) = (self.scratch.cols[i], self.scratch.cols[j]);
+            let conv = match self.scratch.adaptive.as_mut() {
+                Some(state) => state.visit(b, u, v, floor_sq),
+                None => {
+                    let (x, y) = b.col_pair_mut(u, v);
+                    orthogonalize_pair_gated(x, y, floor_sq)
+                }
+            };
+            if did_rotate(conv, threshold) {
+                *rotations += 1;
+            }
+            let conv = conv as f64;
+            if conv > *max_conv {
+                *max_conv = conv;
+            }
+        }
     }
 
     /// Computes each slot's input-ready time for the transition into
@@ -902,25 +812,5 @@ mod tests {
                 assert!(d < 1e-6, "mismatch at ({r},{c}): {d}");
             }
         }
-    }
-
-    #[test]
-    fn parallel_iteration_is_bit_identical_to_serial() {
-        let cfg = config(24, 3);
-        let plan = PlanHandle::build(&cfg).unwrap();
-
-        let mut serial = sample(24);
-        let mut pipe_s = OrthPipeline::new(&cfg, &plan);
-        let out_s = pipe_s.run_iteration(&mut serial);
-
-        let mut pooled = sample(24);
-        let mut pipe_p = OrthPipeline::new(&cfg, &plan);
-        let out_p = svd_kernels::parallel::with_pool(3, |pool| {
-            pipe_p.run_iteration_with(&mut pooled, Some(pool))
-        });
-
-        assert_eq!(serial.as_slice(), pooled.as_slice());
-        assert_eq!(out_s, out_p);
-        assert_eq!(pipe_s.stats(), pipe_p.stats());
     }
 }

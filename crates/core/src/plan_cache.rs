@@ -14,8 +14,9 @@
 //! exactly the config fields a plan depends on (`P_eng`, `P_task`, the
 //! co-residency class, PL frequency, ordering, dataflow, device,
 //! calibration). Numerical knobs (precision, iteration policy, fidelity,
-//! trace recording, functional parallelism) are deliberately excluded —
-//! a serial and a parallel run of the same design share one plan. The
+//! trace recording, timing replay, adaptive sweeps) are deliberately
+//! excluded — an exact and an adaptive run of the same design share one
+//! plan. The
 //! co-residency class *is* fingerprinted because the lazily probed
 //! timing profile cached on the plan embeds contention-scaled PLIO/DDR
 //! durations: a packed wave and a solo run must not share a probe.
@@ -403,7 +404,6 @@ mod tests {
         let mut tweaked = base.clone();
         tweaked.precision = 1e-3;
         tweaked.record_trace = true;
-        tweaked.functional_parallelism = 8;
         tweaked.fixed_iterations = Some(3);
         tweaked.timing_replay = false;
         tweaked.adaptive_sweeps = !base.adaptive_sweeps;

@@ -113,7 +113,6 @@ impl TimingProfile {
         probe_cfg.fidelity = FidelityMode::TimingOnly;
         probe_cfg.fixed_iterations = Some(1);
         probe_cfg.record_trace = true;
-        probe_cfg.functional_parallelism = 1;
         // The probe's internal iterations are an implementation detail;
         // only the single probe span above reaches the journal.
         probe_cfg.observability = false;

@@ -57,7 +57,6 @@ fn steady_state_iterations_do_not_allocate() {
     });
     let cfg = HeteroSvdConfig::builder(32, 32)
         .engine_parallelism(4)
-        .functional_parallelism(1)
         .pl_freq_mhz(208.3)
         .build()
         .unwrap();

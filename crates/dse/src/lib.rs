@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Design-space exploration for HeteroSVD micro-architectures
 //! (§IV-C, Eq. 15–16).

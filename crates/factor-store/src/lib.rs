@@ -20,6 +20,7 @@
 //!   through [`FactorStore::stats`] for the metrics path.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use serde::Serialize;
 use std::collections::HashMap;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! SVD pair orderings and AIE data-movement analysis.
 //!

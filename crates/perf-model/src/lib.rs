@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Analytic performance model of the HeteroSVD pipeline (§IV-B,
 //! Eq. 8–14).

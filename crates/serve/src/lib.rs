@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Batch-serving runtime for the HeteroSVD accelerator.
 //!

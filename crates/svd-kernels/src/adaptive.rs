@@ -37,7 +37,6 @@
 use crate::matrix::Matrix;
 use crate::rotation::orthogonalize_pair_thresholded;
 use crate::scalar::Real;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Convergence level at which the threshold schedule trusts the
 /// quadratic tail of one-sided Jacobi (see [`sweep_threshold`]).
@@ -103,19 +102,6 @@ pub struct PairVisit<T> {
     pub ver_hi: u32,
 }
 
-/// Raw-pointer view of an [`AdaptiveState`], published to the rotation
-/// worker pool. Only `svd_kernels::parallel` constructs and consumes it;
-/// the layer-disjointness precondition of the pool makes the per-pair
-/// writes race-free.
-#[derive(Clone, Copy)]
-pub(crate) struct AdaptiveView<T> {
-    pub threshold: T,
-    pub col_version: *mut u32,
-    pub cache: *mut PairVisit<T>,
-    pub memo_skips: *const AtomicU64,
-    pub gated_rotations: *const AtomicU64,
-}
-
 /// Dirty-column versions plus the per-pair last-visit cache for one
 /// matrix, with the current sweep's threshold.
 ///
@@ -127,8 +113,8 @@ pub struct AdaptiveState<T> {
     threshold: T,
     col_version: Vec<u32>,
     cache: Vec<PairVisit<T>>,
-    memo_skips: AtomicU64,
-    gated_rotations: AtomicU64,
+    memo_skips: u64,
+    gated_rotations: u64,
 }
 
 impl<T: Real> AdaptiveState<T> {
@@ -147,8 +133,8 @@ impl<T: Real> AdaptiveState<T> {
                 };
                 cols * cols.saturating_sub(1) / 2
             ],
-            memo_skips: AtomicU64::new(0),
-            gated_rotations: AtomicU64::new(0),
+            memo_skips: 0,
+            gated_rotations: 0,
         }
     }
 
@@ -166,23 +152,13 @@ impl<T: Real> AdaptiveState<T> {
     /// Number of visits answered from the pair cache (both columns clean
     /// since a gated visit): even the dot products were skipped.
     pub fn memo_skips(&self) -> u64 {
-        self.memo_skips.load(Ordering::Relaxed)
+        self.memo_skips
     }
 
     /// Number of visits that ran the products but gated the rotation
     /// (measure below the threshold, identity pairs included).
     pub fn gated_rotations(&self) -> u64 {
-        self.gated_rotations.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn view(&mut self) -> AdaptiveView<T> {
-        AdaptiveView {
-            threshold: self.threshold,
-            col_version: self.col_version.as_mut_ptr(),
-            cache: self.cache.as_mut_ptr(),
-            memo_skips: &self.memo_skips,
-            gated_rotations: &self.gated_rotations,
-        }
+        self.gated_rotations
     }
 
     /// Visits the column pair `(u, v)` of `m`: memo-skip when both columns
@@ -190,57 +166,35 @@ impl<T: Real> AdaptiveState<T> {
     /// kernel and update the dirty-column/cache state. Returns the exact
     /// Eq. (6) measure of the pair in both cases.
     pub fn visit(&mut self, m: &mut Matrix<T>, u: usize, v: usize, floor_sq: T) -> T {
-        let view = self.view();
         let (x, y) = m.col_pair_mut(u, v);
-        // SAFETY: `&mut self` and `&mut m` make this call exclusive — no
-        // concurrent visitor exists.
-        unsafe { visit_via_view(&view, u, v, x, y, floor_sq) }
+        let (lo, hi) = if u < v { (u, v) } else { (v, u) };
+        let pid = pair_id(lo, hi);
+        let ver_lo = self.col_version[lo];
+        let ver_hi = self.col_version[hi];
+        let entry = self.cache[pid];
+        if entry.ver_lo == ver_lo && entry.ver_hi == ver_hi && entry.conv < self.threshold {
+            // Both columns untouched since a gated visit: the products would
+            // be bitwise identical, so the cached measure stands in exactly.
+            self.memo_skips += 1;
+            return entry.conv;
+        }
+        let conv = orthogonalize_pair_thresholded(x, y, floor_sq, self.threshold);
+        // Record the *pre-rotation* versions: if the rotation fired, the bumps
+        // below immediately invalidate this entry, so a stale measure can
+        // never be replayed.
+        self.cache[pid] = PairVisit {
+            conv,
+            ver_lo,
+            ver_hi,
+        };
+        if did_rotate(conv, self.threshold) {
+            self.col_version[lo] = ver_lo.wrapping_add(1);
+            self.col_version[hi] = ver_hi.wrapping_add(1);
+        } else {
+            self.gated_rotations += 1;
+        }
+        conv
     }
-}
-
-/// The per-pair visit against a raw [`AdaptiveView`].
-///
-/// # Safety
-///
-/// The caller must guarantee that no other thread concurrently visits a
-/// pair sharing column `u` or `v` (the pool's layer-disjointness
-/// precondition), and that `x`/`y` are the columns the view's matrix
-/// indexes `u`/`v` refer to.
-pub(crate) unsafe fn visit_via_view<T: Real>(
-    view: &AdaptiveView<T>,
-    u: usize,
-    v: usize,
-    x: &mut [T],
-    y: &mut [T],
-    floor_sq: T,
-) -> T {
-    let (lo, hi) = if u < v { (u, v) } else { (v, u) };
-    let pid = pair_id(lo, hi);
-    let ver_lo = *view.col_version.add(lo);
-    let ver_hi = *view.col_version.add(hi);
-    let entry = *view.cache.add(pid);
-    if entry.ver_lo == ver_lo && entry.ver_hi == ver_hi && entry.conv < view.threshold {
-        // Both columns untouched since a gated visit: the products would
-        // be bitwise identical, so the cached measure stands in exactly.
-        (*view.memo_skips).fetch_add(1, Ordering::Relaxed);
-        return entry.conv;
-    }
-    let conv = orthogonalize_pair_thresholded(x, y, floor_sq, view.threshold);
-    // Record the *pre-rotation* versions: if the rotation fired, the bumps
-    // below immediately invalidate this entry, so a stale measure can
-    // never be replayed.
-    *view.cache.add(pid) = PairVisit {
-        conv,
-        ver_lo,
-        ver_hi,
-    };
-    if did_rotate(conv, view.threshold) {
-        *view.col_version.add(lo) = ver_lo.wrapping_add(1);
-        *view.col_version.add(hi) = ver_hi.wrapping_add(1);
-    } else {
-        (*view.gated_rotations).fetch_add(1, Ordering::Relaxed);
-    }
-    conv
 }
 
 #[cfg(test)]

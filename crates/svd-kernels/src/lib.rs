@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! Dense linear algebra and reference SVD kernels.
 //!
@@ -49,10 +50,11 @@ pub mod incremental;
 pub mod io;
 pub mod jacobi;
 pub mod matrix;
-pub mod parallel;
 pub mod qr;
 pub mod rotation;
 pub mod scalar;
+// The AVX intrinsics are the only `unsafe` in this crate.
+#[allow(unsafe_code)]
 pub mod simd;
 pub mod verify;
 
